@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import seeded_rng
+from .numeric import log_softmax_rows, seeded_rng
 from .prompts import PromptEmbedding
 
 DEFAULT_TEMPERATURE = 0.07
@@ -69,11 +69,6 @@ class AlignResult:
     grad_negative: np.ndarray | None = None
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
                negative_visual=None) -> AlignResult:
     """Symmetric contrastive loss with analytic gradients.
@@ -105,7 +100,7 @@ def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
 
     # Direction 1: visual queries against text keys.
     s1 = (v @ t.T) * inv_temp
-    log_p1 = _log_softmax_rows(s1)
+    log_p1 = log_softmax_rows(s1)
     p1 = np.exp(log_p1)
     loss1 = -np.trace(log_p1) / k
     d1 = (p1 - np.eye(k)) / k                      # dL1/ds1
@@ -115,7 +110,7 @@ def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
     # Direction 2: text queries against visual keys plus optional negatives.
     keys = v if neg is None else np.vstack([v, neg])
     s2 = (t @ keys.T) * inv_temp
-    log_p2 = _log_softmax_rows(s2)
+    log_p2 = log_softmax_rows(s2)
     p2 = np.exp(log_p2)
     loss2 = -np.trace(log_p2[:, :k]) / k
     d2 = p2.copy()
@@ -183,8 +178,11 @@ class SamplerManifest:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SamplerManifest":
-        samples = tuple((str(s["id"]), str(s["dataset"])) for s in obj["samples"])
-        return cls(samples=samples, batch_size=int(obj["batch_size"]), seed=int(obj["seed"]))
+        try:
+            samples = tuple((str(s["id"]), str(s["dataset"])) for s in obj["samples"])
+            return cls(samples=samples, batch_size=int(obj["batch_size"]), seed=int(obj["seed"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed manifest: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "SamplerManifest":

@@ -153,7 +153,6 @@ def _cmd_verify(args) -> int:
         iou_gate=args.iou_gate,
         sim_threshold=args.sim_thresh,
         out_dir=args.out,
-        jobs=args.jobs,
     )
     payload = {
         "aggregate": engine.retention_stats(result.reports),
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-thresh", type=float, default=engine.DEFAULT_SIM_THRESHOLD)
     p.add_argument("--out", default=None, help="directory for verified per-image JSON files")
     p.add_argument("--report", default=None, help="path for the aggregate JSON report")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers across images")
+    p.add_argument("--jobs", type=int, default=1, help="has no effect; kept for compatibility")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -21,13 +21,13 @@ additionally carry "similarity" and, when tags differ, "alias_tag".
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .losses import hungarian, iou, validate_box
+from .losses import hungarian, pairwise_iou, validate_box
+from .numeric import cosine_matrix
 
 SOURCES = ("top_down", "bottom_up")
 
@@ -133,58 +133,42 @@ class AnnotationSet:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _retention_rates(retained: int, input_a: int, input_b: int) -> dict[str, float]:
+    """Retained pairs over the mean of the input counts and over each."""
+    denom = 0.5 * (input_a + input_b)
+    return {
+        "retention_rate": retained / denom if denom > 0 else 0.0,
+        "retention_rate_top_down": retained / input_a if input_a else 0.0,
+        "retention_rate_bottom_up": retained / input_b if input_b else 0.0,
+    }
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Counts and tag-similarity summaries for one verified image.
-
-    ``matched`` counts Hungarian pairs before any gating.
-    ``retention_rate`` divides retained pairs by the mean of the two
-    input counts, a base that is symmetric in the pipelines.
-    """
+    """Counts and tag-similarity summaries for one verified image;
+    ``matched`` counts Hungarian pairs before any gating."""
 
     image_id: str
     input_a: int
     input_b: int
     matched: int
     retained: int
-    retention_rate: float
     mean_similarity_before: float
     mean_similarity_after: float
     similarities_before: tuple[float, ...] = field(default=(), repr=False)
     similarities_after: tuple[float, ...] = field(default=(), repr=False)
+    retention_rate: float = field(init=False)
+    retention_rate_top_down: float = field(init=False)
+    retention_rate_bottom_up: float = field(init=False)
 
-    @property
-    def retention_rate_top_down(self) -> float:
-        return self.retained / self.input_a if self.input_a else 0.0
-
-    @property
-    def retention_rate_bottom_up(self) -> float:
-        return self.retained / self.input_b if self.input_b else 0.0
+    def __post_init__(self):
+        for name, rate in _retention_rates(self.retained, self.input_a, self.input_b).items():
+            object.__setattr__(self, name, rate)
 
     def to_dict(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "input_a": self.input_a,
-            "input_b": self.input_b,
-            "matched": self.matched,
-            "retained": self.retained,
-            "retention_rate": self.retention_rate,
-            "retention_rate_top_down": self.retention_rate_top_down,
-            "retention_rate_bottom_up": self.retention_rate_bottom_up,
-            "mean_similarity_before": self.mean_similarity_before,
-            "mean_similarity_after": self.mean_similarity_after,
-        }
-
-
-def _tag_similarity(emb, tag_a: str, tag_b: str) -> float:
-    va = np.asarray(emb.embed(tag_a), dtype=np.float64)
-    vb = np.asarray(emb.embed(tag_b), dtype=np.float64)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    # Round-off can push the ratio a last-place unit past +-1.
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
+        d = asdict(self)
+        del d["similarities_before"], d["similarities_after"]
+        return d
 
 
 def cross_verify(
@@ -212,45 +196,29 @@ def cross_verify(
     if not -1.0 <= sim_threshold <= 1.0:
         raise ValueError(f"sim_threshold must lie in [-1, 1], got {sim_threshold}")
 
-    pairs: list[tuple[int, int]] = []
-    overlaps = np.zeros((len(a.instances), len(b.instances)))
+    assignment: dict[int, int] = {}
     if a.instances and b.instances:
-        for i, ia in enumerate(a.instances):
-            for j, ib in enumerate(b.instances):
-                overlaps[i, j] = iou(ia.box, ib.box)
+        overlaps = pairwise_iou([ia.box for ia in a.instances], [ib.box for ib in b.instances])
         assignment, _ = hungarian(1.0 - overlaps)
-        pairs = sorted(assignment.items())
+    gated = [(a.instances[i], b.instances[j]) for i, j in sorted(assignment.items())
+             if overlaps[i, j] >= iou_gate]
 
     sims_before: list[float] = []
-    sims_after: list[float] = []
-    retained: list[Instance] = []
-    for i, j in pairs:
-        ia, ib = a.instances[i], b.instances[j]
-        if overlaps[i, j] < iou_gate:
-            continue
-        sim = _tag_similarity(emb, ia.tag, ib.tag)
-        sims_before.append(sim)
-        if sim < sim_threshold:
-            continue
-        sims_after.append(sim)
-        retained.append(Instance(
-            box=ia.box,
-            tag=ia.tag,
-            score=ia.score,
-            source="top_down",
-            similarity=sim,
-            alias_tag=ib.tag if ib.tag != ia.tag else None,
-        ))
+    if gated:
+        sims_before = np.diag(cosine_matrix([emb.embed(ia.tag) for ia, _ in gated],
+                                            [emb.embed(ib.tag) for _, ib in gated])).tolist()
 
-    n_a, n_b = len(a.instances), len(b.instances)
-    denom = 0.5 * (n_a + n_b)
+    kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
+    sims_after = [sim for _, _, sim in kept]
+    retained = [replace(ia, similarity=sim, alias_tag=ib.tag if ib.tag != ia.tag else None)
+                for ia, ib, sim in kept]
+
     report = VerificationReport(
         image_id=a.image_id,
-        input_a=n_a,
-        input_b=n_b,
-        matched=len(pairs),
+        input_a=len(a.instances),
+        input_b=len(b.instances),
+        matched=len(assignment),
         retained=len(retained),
-        retention_rate=len(retained) / denom if denom > 0 else 0.0,
         mean_similarity_before=float(np.mean(sims_before)) if sims_before else 0.0,
         mean_similarity_after=float(np.mean(sims_after)) if sims_after else 0.0,
         similarities_before=tuple(sims_before),
@@ -267,6 +235,8 @@ def cross_verify(
 
 
 def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
+    if not Path(directory).is_dir():
+        raise ValueError(f"annotation path {directory} is not a directory")
     sets: dict[str, AnnotationSet] = {}
     errors: list[str] = []
     for path in sorted(Path(directory).glob("*.json")):
@@ -308,27 +278,23 @@ def batch_verify(
     Images present on only one side are reported as unpaired and
     produce no verified output.  Malformed files are recorded as errors
     and processing continues.  With ``out_dir`` set, one verified JSON
-    file per image is written as ``<image_id>.json``.
+    file per image is written as ``<image_id>.json``; an image_id that
+    would write outside it raises before any write.  ``jobs`` has no effect.
     """
     sets_a, errors_a = _load_dir(dir_a)
     sets_b, errors_b = _load_dir(dir_b)
     shared = sorted(set(sets_a) & set(sets_b))
     unpaired = sorted(set(sets_a) ^ set(sets_b))
-
-    def run(image_id: str):
-        return cross_verify(sets_a[image_id], sets_b[image_id], emb,
+    results = [cross_verify(sets_a[image_id], sets_b[image_id], emb,
                             iou_gate=iou_gate, sim_threshold=sim_threshold)
-
-    if jobs > 1 and len(shared) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, shared))
-    else:
-        results = [run(image_id) for image_id in shared]
-
+               for image_id in shared]
     verified = tuple(v for v, _ in results)
     reports = tuple(r for _, r in results)
     if out_dir is not None:
         out = Path(out_dir)
+        for v in verified:
+            if (out / f"{v.image_id}.json").parent != out:
+                raise ValueError(f"image_id {v.image_id!r} would be written outside {out}")
         out.mkdir(parents=True, exist_ok=True)
         for v in verified:
             (out / f"{v.image_id}.json").write_text(v.to_json())
@@ -356,17 +322,15 @@ def retention_stats(reports) -> dict:
     retained = sum(r.retained for r in reports)
     before = [s for r in reports for s in r.similarities_before]
     after = [s for r in reports for s in r.similarities_after]
-    denom = 0.5 * (input_a + input_b)
+    rates = _retention_rates(retained, input_a, input_b)
     return {
         "images": len(reports),
         "input_a": input_a,
         "input_b": input_b,
         "matched": matched,
         "retained": retained,
-        "retention_rate": retained / denom if denom > 0 else 0.0,
-        "retention_rate_top_down": retained / input_a if input_a else 0.0,
-        "retention_rate_bottom_up": retained / input_b if input_b else 0.0,
-        "filtered_fraction": 1.0 - (retained / denom if denom > 0 else 0.0),
+        **rates,
+        "filtered_fraction": 1.0 - rates["retention_rate"],
         "mean_similarity_before": float(np.mean(before)) if before else 0.0,
         "mean_similarity_after": float(np.mean(after)) if after else 0.0,
         "histogram_edges": HISTOGRAM_EDGES,

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .alignment import align_loss
+from .numeric import cosine_matrix
 from .ranking import order_loss
 
 # DETR-family matching-cost convention; the composite objective also
@@ -142,6 +143,55 @@ def l1_box_loss(pred, gt) -> tuple[float, np.ndarray]:
     return float(np.abs(diff).mean()), np.sign(diff) / 4.0
 
 
+def _as_box_rows(boxes, name: str) -> np.ndarray:
+    a = np.asarray(boxes, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 4 or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be a finite (n, 4) array, got shape {a.shape}")
+    return a
+
+
+def _overlap(a, b):
+    """Boxes broadcast to (n, 1, 4) and (1, m, 4), and the (n, m) intersection,
+    union and equality of every pair.  ``np.where`` keeps the first operand on
+    ties, as Python's min and max do, so signed zeros match the scalar losses."""
+    a, b = _as_box_rows(a, "first boxes"), _as_box_rows(b, "second boxes")
+    p, q = a[:, None, :], b[None, :, :]
+    lo = np.where(q[..., :2] > p[..., :2], q[..., :2], p[..., :2])
+    hi = np.where(q[..., 2:] < p[..., 2:], q[..., 2:], p[..., 2:])
+    side = hi - lo
+    side = np.where(0.0 > side, 0.0, side)
+    inter = side[..., 0] * side[..., 1]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return p, q, inter, area_a[:, None] + area_b[None, :] - inter, np.all(p == q, axis=2)
+
+
+def pairwise_iou(a, b) -> np.ndarray:
+    """``iou`` of every box in ``a`` (n, 4) against every box in ``b`` (m, 4)."""
+    _, _, inter, union, identical = _overlap(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, np.where(identical, 1.0, 0.0))
+
+
+def pairwise_giou_loss(pred, gt) -> np.ndarray:
+    """``giou_loss`` value, without gradient, of every (pred, gt) box pair."""
+    p, g, inter, union, identical = _overlap(pred, gt)
+    hi = np.where(g[..., 2:] > p[..., 2:], g[..., 2:], p[..., 2:])
+    lo = np.where(g[..., :2] < p[..., :2], g[..., :2], p[..., :2])
+    span = hi - lo
+    enclose = span[..., 0] * span[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou_val = inter / union
+        giou = np.where(enclose <= 0.0, iou_val, iou_val - (enclose - union) / enclose)
+    return np.where(union > 0.0, 1.0 - giou, np.where(identical, 0.0, 2.0))
+
+
+def pairwise_l1(pred, gt) -> np.ndarray:
+    """``l1_box_loss`` value, without gradient, of every (pred, gt) box pair."""
+    p = _as_box_rows(pred, "pred boxes")
+    return np.abs(p[:, None, :] - _as_box_rows(gt, "gt boxes")[None, :, :]).mean(axis=2)
+
+
 def dice_loss(pred, gt, eps: float = 1.0) -> tuple[float, np.ndarray]:
     """Soft dice loss 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps)
     with the analytic gradient w.r.t. the prediction grid."""
@@ -246,14 +296,6 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
 # ---------------------------------------------------------------------------
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
 @dataclass(frozen=True)
 class MatchWeights:
     """Per-term weights for matching costs and the composite total."""
@@ -332,44 +374,27 @@ def match_and_total_loss(
     preds = list(preds)
     targets = list(targets)
 
-    sim = np.zeros((len(preds), len(targets)))
-    for i, p in enumerate(preds):
-        for j, t in enumerate(targets):
-            sim[i, j] = _cosine(np.asarray(p.embed, dtype=np.float64),
-                                np.asarray(t.embed, dtype=np.float64))
-
     matches: list[tuple[int, int]] = []
+    cls_raw = bbox = 0.0
     if preds and targets:
-        cost = np.zeros((len(preds), len(targets)))
-        for i, p in enumerate(preds):
-            for j, t in enumerate(targets):
-                cost[i, j] = (
-                    w.cls * (1.0 - sim[i, j]) / 2.0
-                    + w.l1 * l1_box_loss(p.box, t.box)[0]
-                    + w.giou * giou_loss(p.box, t.box)[0]
-                )
-        assignment, _ = hungarian(cost)
+        sim = cosine_matrix([p.embed for p in preds], [t.embed for t in targets])
+        pred_boxes = np.array([as_box(p.box, "pred box") for p in preds])
+        gt_boxes = np.array([as_box(t.box, "gt box") for t in targets])
+        l1 = pairwise_l1(pred_boxes, gt_boxes)
+        giou = pairwise_giou_loss(pred_boxes, gt_boxes)
+        assignment, _ = hungarian(w.cls * (1.0 - sim) / 2.0 + w.l1 * l1 + w.giou * giou)
         matches = sorted(assignment.items())
+        rows, cols = np.array(matches).T
+        cls_terms = np.abs(sim).max(axis=1) / 2.0
+        cls_terms[rows] = (1.0 - sim[rows, cols]) / 2.0
+        cls_raw = float(np.mean(cls_terms))
+        bbox = w.l1 * float(np.mean(l1[rows, cols])) + w.giou * float(np.mean(giou[rows, cols]))
 
-    row_to_col = dict(matches)
-    cls_terms = []
-    for i in range(len(preds)):
-        if i in row_to_col:
-            cls_terms.append((1.0 - sim[i, row_to_col[i]]) / 2.0)
-        elif targets:
-            cls_terms.append(float(np.abs(sim[i]).max()) / 2.0)
-        else:
-            cls_terms.append(0.0)
-    cls_raw = float(np.mean(cls_terms)) if cls_terms else 0.0
-
-    l1_vals, giou_vals, bce_vals, dice_vals = [], [], [], []
+    bce_vals, dice_vals = [], []
     for i, j in matches:
-        l1_vals.append(l1_box_loss(preds[i].box, targets[j].box)[0])
-        giou_vals.append(giou_loss(preds[i].box, targets[j].box)[0])
         if preds[i].mask is not None and targets[j].mask is not None:
             bce_vals.append(bce_mask_loss(preds[i].mask, targets[j].mask)[0])
             dice_vals.append(dice_loss(preds[i].mask, targets[j].mask)[0])
-    bbox = (w.l1 * float(np.mean(l1_vals)) + w.giou * float(np.mean(giou_vals))) if l1_vals else 0.0
     mask = (w.bce * float(np.mean(bce_vals)) + w.dice * float(np.mean(dice_vals))) if bce_vals else 0.0
 
     extras: dict = {}

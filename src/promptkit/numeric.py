@@ -1,10 +1,10 @@
 """Dense small-tensor numerics shared by every other module.
 
-Provides a numerically stable row softmax, bilinear sampling on feature
-grids, seeded RNG construction, and a central finite-difference engine
-that serves as the gradient oracle for all analytic loss gradients in
-this package.  Everything here operates on float64 and is a pure
-function of its inputs.
+Provides numerically stable row softmax and log-softmax, a pairwise
+cosine matrix, bilinear sampling on feature grids, seeded RNG
+construction, and a central finite-difference engine that serves as
+the gradient oracle for all analytic loss gradients in this package.
+Everything here operates on float64 and is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -60,6 +60,25 @@ def softmax_rows(m) -> np.ndarray:
     shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a finite 2-D float array, max-shifted like
+    ``softmax_rows`` but unchecked: it runs inside gradient-check loops."""
+    shifted = m - m.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cosine_matrix(a, b) -> np.ndarray:
+    """Cosine similarity of every row of ``a`` (n, d) with every row of
+    ``b`` (m, d), in [-1, 1]; a zero row has similarity 0 with everything."""
+    x = as_float_matrix(a, "first embedding matrix")
+    y = as_float_matrix(b, "second embedding matrix")
+    # Dot products and squared norms share one summation routine, so an
+    # identical nonzero row gives exactly 1 (a matrix product may not).
+    norms = np.sqrt(np.outer(np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)))
+    cos = np.divide(np.einsum("ik,jk->ij", x, y), norms, out=np.zeros_like(norms), where=norms > 0)
+    return np.clip(cos, -1.0, 1.0)
 
 
 def bilinear_sample(level: np.ndarray, x: float, y: float) -> np.ndarray:

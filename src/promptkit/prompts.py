@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import bilinear_sample, seeded_rng
+from .numeric import bilinear_sample, seeded_rng, softmax_rows
 
 DEFAULT_DIM = 256
 
@@ -192,10 +192,7 @@ def encode_visual_prompt(
         h, w, _ = level.shape
         raw = (params.offset_weights @ v).reshape(params.n_points, 2)
         offsets = raw / np.array([w, h], dtype=np.float64)
-        logits = params.attn_weights @ v
-        shifted = logits - logits.max()
-        weights = np.exp(shifted)
-        weights /= weights.sum()
+        weights = softmax_rows((params.attn_weights @ v)[None, :])[0]
         samples = np.stack([
             bilinear_sample(level, rx + dx, ry + dy) for dx, dy in offsets
         ])
@@ -209,12 +206,6 @@ def encode_visual_prompt(
             })
         v = params.residual_gate * v + params.output_proj @ (params.value_proj @ combined)
     return PromptEmbedding(vec=v, kind="visual", category=init_query.category)
-
-
-def box_center(box) -> tuple[float, float]:
-    """Reference point for a box-shaped visual prompt."""
-    x1, y1, x2, y2 = (float(c) for c in box)
-    return (0.5 * (x1 + x2), 0.5 * (y1 + y2))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +227,10 @@ class HashEmbeddings:
     """Deterministic pseudo-random unit vector per tag, seeded by tag bytes."""
 
     dim: int = DEFAULT_DIM
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
 
     def embed(self, tag: str) -> np.ndarray:
         return _hash_unit_vector(tag, self.dim)

@@ -105,6 +105,15 @@ class TestSample:
         seen = sorted(s for line in lines for s in line["samples"])
         assert seen == sorted(f"s{i}" for i in range(7))
 
+    @pytest.mark.parametrize("samples", [[1], ["s0"], [None], "s0"])
+    def test_malformed_samples_give_one_line_error(self, tmp_path, capsys, samples):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 9, "samples": samples}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def write_dirs(self, tmp_path, pairs):
@@ -170,6 +179,50 @@ class TestVerify:
         payload = json.loads(out)
         # Identical stored vectors: every gate survivor is retained.
         assert payload["aggregate"]["mean_similarity_after"] in (0.0, 1.0)
+
+    @pytest.mark.parametrize("image_id", ["../escape", "sub/inner", "/abs/path"])
+    def test_image_id_outside_out_dir_is_rejected_before_writing(self, tmp_path, capsys,
+                                                                 image_id):
+        pairs = make_annotation_fixture(2, seed=5)
+        dir_a, dir_b = self.write_dirs(tmp_path, pairs)
+        a, b = pairs[0]
+        (dir_a / "evil.json").write_text(json.dumps({**a.to_dict(), "image_id": image_id}))
+        (dir_b / "evil.json").write_text(json.dumps({**b.to_dict(), "image_id": image_id}))
+        out_dir = tmp_path / "work" / "out"
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback", "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert image_id in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("missing", ["a", "b"])
+    def test_missing_directory_gives_exit_one(self, tmp_path, capsys, missing):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=6))
+        dirs = {"a": str(dir_a), "b": str(dir_b), missing: str(tmp_path / "absent")}
+        code, out, err = run_cli(capsys, "verify", "--a", dirs["a"], "--b", dirs["b"],
+                                 "--hash-fallback")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "absent" in err
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_nonpositive_hash_dimension_gives_exit_one(self, tmp_path, capsys, dim):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=7))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback", "--emb-dim", dim)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dimension" in err
+
+    def test_jobs_help_says_no_effect(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "no effect" in " ".join(capsys.readouterr().out.split())
 
 
 class TestParser:

@@ -34,6 +34,18 @@ class TestCrossVerify:
         assert verified.instances[0].alias_tag is None
         assert verified.instances[0].similarity == 1.0
 
+    @pytest.mark.parametrize("dim", [16, 256])
+    def test_identical_tags_pass_threshold_one(self, dim):
+        boxes = [np.array([0.1 * k, 0.1 * k, 0.1 * k + 0.05, 0.1 * k + 0.05]) for k in range(8)]
+        for start in range(0, 64, 8):
+            tags = [f"tag{start + k}" for k in range(8)]
+            a = AnnotationSet("img", 640, 480, "top_down", tuple(
+                Instance(box, tag, 0.9, "top_down") for box, tag in zip(boxes, tags)))
+            b = AnnotationSet("img", 640, 480, "bottom_up", tuple(
+                Instance(box, tag, 0.8, "bottom_up") for box, tag in zip(boxes, tags)))
+            _, report = cross_verify(a, b, HashEmbeddings(dim), sim_threshold=1.0)
+            assert report.retained == 8
+
     def test_iou_gate_discards_disjoint_match(self):
         a = AnnotationSet("img", 640, 480, "top_down",
                           (Instance(np.array([0.0, 0.0, 0.2, 0.2]), "cat", 0.9, "top_down"),))
