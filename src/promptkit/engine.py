@@ -205,8 +205,10 @@ def cross_verify(
 
     sims_before: list[float] = []
     if gated:
-        sims_before = np.diag(cosine_matrix([emb.embed(ia.tag) for ia, _ in gated],
-                                            [emb.embed(ib.tag) for _, ib in gated])).tolist()
+        tags = dict.fromkeys(inst.tag for side in zip(*gated) for inst in side)
+        vectors = {tag: emb.embed(tag) for tag in tags}
+        sims_before = np.diag(cosine_matrix([vectors[ia.tag] for ia, _ in gated],
+                                            [vectors[ib.tag] for _, ib in gated])).tolist()
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]

@@ -9,6 +9,7 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,13 +228,6 @@ def bce_mask_loss(pred, gt) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _min_assignment_cost(costs: np.ndarray) -> float:
-    if costs.shape[0] == 0 or costs.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(costs)
-    return float(costs[rows, cols].sum())
-
-
 def hungarian(costs) -> tuple[dict[int, int], float]:
     """Minimum-cost assignment of min(rows, cols) pairs.
 
@@ -241,6 +235,11 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     smallest one: rows are fixed in index order to the lowest column
     that still admits an optimal completion, with "unassigned" ordering
     after any column.  Raises on non-finite costs.
+
+    One ``linear_sum_assignment`` solve, on the costs padded to a square with
+    zero-cost dummies, gives an optimum and its dual potentials.  The tie-break
+    keeps to tight edges, whose reduced cost is <= 1e-9 * max(1, |optimum|),
+    so the total may exceed the optimum by up to max(rows, cols) times that.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
@@ -248,45 +247,44 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
     n_rows, n_cols = c.shape
-    need = min(n_rows, n_cols)
-    best_total = _min_assignment_cost(c)
-    tol = 1e-9 * max(1.0, abs(best_total))
-    nonnegative = bool(np.all(c >= 0.0))
+    n = max(n_rows, n_cols)
+    sq = np.pad(c, ((0, n - n_rows), (0, n - n_cols)))
+    rows, col_of = linear_sum_assignment(sq)
+    tol = 1e-9 * max(1.0, abs(float(sq[rows, col_of].sum())))
 
-    assignment: dict[int, int] = {}
-    free_cols = list(range(n_cols))  # kept ascending
-    fixed_cost = 0.0
-    for row in range(n_rows):
-        remaining_rows = n_rows - row - 1
-        need_left = need - len(assignment)
-        if need_left == 0:
+    # Column potentials: Bellman-Ford over the edges col_of[i] -> j of weight w[i, j].
+    w = sq - sq[rows, col_of][:, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        relaxed = np.minimum(v, (v[col_of][:, None] + w).min(axis=0))
+        if np.array_equal(relaxed, v):
             break
-        chosen = None
-        for col in free_cols:
-            # With nonnegative costs the completion cannot reduce the
-            # total, so an over-budget prefix rules the column out.
-            if nonnegative and fixed_cost + c[row, col] > best_total + tol:
-                continue
-            rest_cols = [x for x in free_cols if x != col]
-            rest = 0.0
-            if need_left > 1:
-                sub = c[np.ix_(list(range(row + 1, n_rows)), rest_cols)]
-                rest = _min_assignment_cost(sub)
-            if fixed_cost + c[row, col] + rest <= best_total + tol:
-                chosen = col
-                break
-        if chosen is None:
-            # Leaving this row unassigned is only feasible when enough
-            # rows remain to place the outstanding columns.
-            if remaining_rows < need_left:
-                raise RuntimeError("assignment search failed to reconstruct the optimum")
-            continue
-        assignment[row] = chosen
-        free_cols.remove(chosen)
-        fixed_cost += float(c[row, chosen])
+        v = relaxed
+    tight = w + v[col_of][:, None] - v[None, :] <= tol
+    tight_rows = [np.flatnonzero(col).tolist() for col in tight.T]
 
-    if len(assignment) != need:
-        raise RuntimeError("assignment search failed to place all pairs")
+    col_of = col_of.tolist()
+    for r in range(n_rows):
+        freed = col_of[r]
+        lower = np.flatnonzero(tight[r, :min(freed, n_cols)]).tolist()
+        if not lower:
+            continue
+        # Breadth-first search back from r's column over later rows: row i
+        # can give up its column for a tight one already reached.
+        parent = {freed: None}
+        queue = deque([freed])
+        while queue and lower[0] not in parent:
+            g = queue.popleft()
+            for i in tight_rows[g]:
+                if i > r and col_of[i] not in parent:
+                    parent[col_of[i]] = (i, g)
+                    queue.append(col_of[i])
+        col = col_of[r] = next((j for j in lower if j in parent), freed)
+        while col != freed:
+            i, col = parent[col]
+            col_of[i] = col
+
+    assignment = {r: col_of[r] for r in range(n_rows) if col_of[r] < n_cols}
     total = float(sum(c[r, col] for r, col in assignment.items()))
     return assignment, total
 

@@ -45,6 +45,14 @@ class TestSelect:
         assert code == 0
         assert json.loads(out)["indices"] == [0, 2]
 
+    def test_scores_list_gives_one_line_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([1, 2]))
+        code, out, err = run_cli(capsys, "select", "--scores", str(scores), "--k", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGradcheck:
     def test_passing_run(self, capsys):
@@ -88,6 +96,14 @@ class TestFuseDemo:
         assert payload["token_counts"] == {"features": 10, "text": 2, "visual": 2}
         for layer in payload["background_activation"]:
             assert set(layer) == {"text", "visual", "features"}
+
+    def test_null_dim_gives_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": None}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSample:

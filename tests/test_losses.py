@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from oracles import brute_force_assignment
+import promptkit.losses
+from oracles import brute_force_assignment, make_annotation_fixture
+from promptkit.engine import cross_verify
 from promptkit.gradcheck import _random_box_pair
 from promptkit.losses import (
     MatchWeights,
@@ -17,6 +25,7 @@ from promptkit.losses import (
     validate_box,
 )
 from promptkit.numeric import compare_grads, finite_diff_grad, seeded_rng
+from promptkit.prompts import HashEmbeddings
 
 
 class TestIou:
@@ -204,6 +213,115 @@ class TestHungarian:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hungarian(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5])
+    def test_long_alternating_cycle(self, seed):
+        # Zeros on (r, r) and (r, r + 1 mod n): the two zero-cost matchings
+        # differ by one alternating cycle through every row, so the
+        # tie-break's path search must not recurse.
+        n = 1500
+        base = np.ones((n, n))
+        base[np.arange(n), np.arange(n)] = 0.0
+        base[np.arange(n), (np.arange(n) + 1) % n] = 0.0
+        rng = np.random.default_rng(seed)
+        row_perm = rng.permutation(n)
+        col_perm = rng.permutation(n)
+        col_pos = np.argsort(col_perm)
+        expected = min(col_pos[row_perm].tolist(), col_pos[(row_perm + 1) % n].tolist())
+        assignment, total = hungarian(base[row_perm][:, col_perm])
+        assert assignment == dict(enumerate(expected))
+        assert total == 0.0
+
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    def test_medium_tie_heavy_against_prefix_search(self, shape):
+        rng = seeded_rng(91)
+        for _ in range(10):
+            n = int(rng.integers(8, 41))
+            m = {"square": n, "tall": int(rng.integers(8, n + 1)),
+                 "wide": int(rng.integers(n, 41))}[shape]
+            costs = rng.integers(0, 3, size=(n, m)).astype(float)
+            assert_lexicographic_optimum(costs, *hungarian(costs))
+
+    @pytest.mark.parametrize("gap, tied", [(1e-12, True), (1e-6, False)])
+    def test_per_edge_tolerance(self, gap, tied):
+        high = 1.0 + gap
+        assert hungarian([[high, 1.0], [1.0, high]])[0] == ({0: 0, 1: 1} if tied else {0: 1, 1: 0})
+        assert hungarian([[high, 1.0]])[0] == ({0: 0} if tied else {0: 1})
+        assert hungarian([[high], [1.0]])[0] == ({0: 0} if tied else {1: 0})
+
+    def test_one_solve_per_call(self, monkeypatch):
+        solves = []
+
+        def counting(costs):
+            solves.append(costs.shape)
+            return linear_sum_assignment(costs)
+
+        monkeypatch.setattr(promptkit.losses, "linear_sum_assignment", counting)
+        emb = HashEmbeddings(dim=16)
+        for a, b in make_annotation_fixture(40, seed=5):
+            solves.clear()
+            cross_verify(a, b, emb)
+            assert len(solves) == 1
+        rng = seeded_rng(92)
+        pairs = [_random_box_pair(rng) for _ in range(12)]
+        preds = [Prediction(box=p, embed=unit(rng.standard_normal(6))) for p, _ in pairs]
+        targets = [Target(box=g, embed=unit(rng.standard_normal(6))) for _, g in pairs[:5]]
+        solves.clear()
+        match_and_total_loss(preds, targets)
+        assert len(solves) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_total_invariant_under_permutation(self, data):
+        # Quarter steps keep every tie exact: an assignment within the
+        # tie tolerance of the optimum, but above it, would be free to
+        # change with the order of the rows and columns.
+        n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        element = st.integers(-16, 16).map(lambda k: k / 4.0)
+        costs = data.draw(arrays(np.float64, (n, m), elements=element))
+        rows = data.draw(st.permutations(range(n)))
+        cols = data.draw(st.permutations(range(m)))
+        _, total = hungarian(costs)
+        _, permuted = hungarian(costs[np.ix_(rows, cols)])
+        sr, sc = linear_sum_assignment(costs)
+        assert abs(total - permuted) <= 1e-9
+        assert abs(total - costs[sr, sc].sum()) <= 1e-9
+
+
+def assert_lexicographic_optimum(costs, assignment, total):
+    """Check an assignment against scipy alone: it is a minimum-cost
+    assignment of min(rows, cols) pairs, and with the rows before it fixed
+    as returned, no row could take a lower column (any column when it is
+    unassigned) and still complete to the optimum."""
+    c = np.asarray(costs, dtype=np.float64)
+    n_rows, n_cols = c.shape
+    need = min(n_rows, n_cols)
+    rows, cols = linear_sum_assignment(c)
+    best = float(c[rows, cols].sum())
+    tol = 1e-9 * max(1.0, abs(best))
+    assert len(assignment) == need
+    assert len(set(assignment.values())) == need
+    assert abs(total - best) <= 1e-9
+    assert abs(sum(c[r, j] for r, j in assignment.items()) - best) <= 1e-9
+    fixed_cost, used = 0.0, set()
+    for r in range(n_rows):
+        limit = assignment.get(r, math.inf)
+        rest_rows = list(range(r + 1, n_rows))
+        for j in range(min(limit, n_cols)):
+            if j in used:
+                continue
+            rest_cols = [x for x in range(n_cols) if x not in used and x != j]
+            if len(used) + 1 + min(len(rest_rows), len(rest_cols)) < need:
+                continue
+            rest = 0.0
+            if rest_rows and rest_cols:
+                sub = c[np.ix_(rest_rows, rest_cols)]
+                sr, sc = linear_sum_assignment(sub)
+                rest = float(sub[sr, sc].sum())
+            assert fixed_cost + c[r, j] + rest > best + tol, (r, j, limit)
+        if r in assignment:
+            fixed_cost += c[r, assignment[r]]
+            used.add(assignment[r])
 
 
 def unit(v):
