@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .alignment import align_loss
 from .numeric import cosine_matrix
@@ -226,6 +225,14 @@ def bce_mask_loss(pred, gt) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Hungarian assignment
 # ---------------------------------------------------------------------------
+
+
+def linear_sum_assignment(cost):
+    """scipy's assignment solver, imported on first use: importing
+    ``scipy.optimize`` costs more than the rest of the package."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def hungarian(costs) -> tuple[dict[int, int], float]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import promptkit
 from oracles import make_annotation_fixture
-from promptkit.cli import build_parser, main
+from promptkit.cli import SOFT_TAU_MAX_N, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +39,27 @@ class TestTau:
         _, out1, _ = run_cli(capsys, "tau", "--a", str(a), "--b", str(b))
         _, out2, _ = run_cli(capsys, "tau", "--a", str(a), "--b", str(b))
         assert out1 == out2
+
+    def test_soft_tau_null_above_limit(self, tmp_path, capsys):
+        n = SOFT_TAU_MAX_N + 1
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_scores(a, range(n))
+        # Pairs (2k, 2k + 1) tie in b; every other pair is concordant.
+        write_scores(b, [i // 2 for i in range(n)])
+        code, out, err = run_cli(capsys, "tau", "--a", str(a), "--b", str(b))
+        assert code == 0
+        payload = json.loads(out)
+        pairs = n * (n - 1) // 2
+        assert payload == {
+            "tau": (pairs - n // 2) / pairs,
+            "concordant": pairs - n // 2,
+            "discordant": 0,
+            "n": n,
+            "soft_tau": None,
+        }
+        assert len(err.splitlines()) == 1
+        assert str(SOFT_TAU_MAX_N) in err
 
 
 class TestSelect:
@@ -257,3 +282,13 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--help"])
         assert excinfo.value.code == 0
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize takes most of the package's import time and only
+    # the assignment solver needs it.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(promptkit.__file__)))
+    code = "import sys, promptkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"

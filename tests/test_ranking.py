@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_kendall, top_k_by_sum
 from promptkit.gradcheck import run_gradcheck
 from promptkit.numeric import seeded_rng
 from promptkit.ranking import (
+    _COL_TILE,
+    _ROW_TILE,
     kendall_tau,
     order_loss,
     select_queries,
@@ -62,6 +66,81 @@ class TestKendallTau:
         with pytest.raises(ValueError, match="mismatch"):
             kendall_tau([1, 2], [1, 2, 3])
 
+    # Sizes around 2^k exercise the first and last merge levels.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(2, 70),
+            st.sampled_from([2 ** k + d for k in range(1, 8) for d in (-1, 0, 1) if 2 ** k + d >= 2]),
+        ),
+        levels=st.one_of(st.none(), st.integers(1, 6)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_brute_force_property(self, n, levels, seed):
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+        else:
+            a = rng.integers(0, levels, size=n).astype(float)
+            b = rng.integers(0, levels, size=n).astype(float)
+        res = kendall_tau(a, b)
+        tau, conc, disc = brute_force_kendall(list(a), list(b))
+        assert (res.tau, res.concordant, res.discordant, res.n) == (tau, conc, disc, n)
+
+    def test_signed_zeros_tie(self):
+        res = kendall_tau([0.0, -0.0, 1.0], [1.0, 2.0, 3.0])
+        assert (res.concordant, res.discordant) == (2, 0)
+        res = kendall_tau([1.0, 2.0, 3.0], [-0.0, 0.0, -1.0])
+        assert (res.concordant, res.discordant) == (0, 2)
+
+    def test_all_tied_gives_zero(self):
+        res = kendall_tau([2.0] * 9, [2.0] * 9)
+        assert (res.tau, res.concordant, res.discordant) == (0.0, 0, 0)
+        res = kendall_tau([2.0] * 9, np.arange(9.0))
+        assert (res.tau, res.concordant, res.discordant) == (0.0, 0, 0)
+
+    def test_one_tied_column(self):
+        # Ties only in the first list: the pairs inside each tied run count
+        # for neither side, every other pair is concordant here.
+        a = [0, 0, 0, 1, 1, 2, 3, 3, 3, 3]
+        b = np.arange(10.0)
+        res = kendall_tau(a, b)
+        assert (res.concordant, res.discordant) == (45 - 3 - 1 - 6, 0)
+        res = kendall_tau(b, a[::-1])
+        assert (res.concordant, res.discordant) == (0, 45 - 3 - 1 - 6)
+
+    def test_identity_and_reversal_at_scale(self):
+        n = 200_000
+        x = np.arange(n, dtype=float)
+        pairs = n * (n - 1) // 2
+        res = kendall_tau(x, x)
+        assert (res.tau, res.concordant, res.discordant) == (1.0, pairs, 0)
+        res = kendall_tau(x, x[::-1])
+        assert (res.tau, res.concordant, res.discordant) == (-1.0, 0, pairs)
+
+    def test_matches_tau_b_counts_at_scale(self):
+        from scipy.stats import kendalltau
+
+        rng = seeded_rng(103)
+        n = 50_000
+        x = rng.integers(0, 40, size=n).astype(float)
+        y = np.floor(x / 3.0) + rng.integers(0, 25, size=n)
+
+        def tied(*cols):
+            _, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+            return int((counts * (counts - 1) // 2).sum())
+
+        # tau-b = (C - D) / sqrt((n0 - n1)(n0 - n2)), and C + D = n0 - n1 - n2 + n3.
+        n0 = n * (n - 1) // 2
+        n1, n2, n3 = tied(x), tied(y), tied(x, y)
+        diff = kendalltau(x, y, variant="b").statistic * np.sqrt(float(n0 - n1) * float(n0 - n2))
+        assert abs(diff - round(diff)) < 1e-3
+        both = n0 - n1 - n2 + n3
+        res = kendall_tau(x, y)
+        assert res.concordant == (both + round(diff)) // 2
+        assert res.discordant == (both - round(diff)) // 2
+        assert res.tau == (res.concordant - res.discordant) / n0
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             kendall_tau([1], [1])
@@ -99,6 +178,48 @@ class TestOrderLoss:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             order_loss([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("n", [
+        2, 3, _ROW_TILE - 1, _ROW_TILE, _ROW_TILE + 1, 2 * _ROW_TILE + 3,
+        _ROW_TILE + _COL_TILE + 1, 1000,
+    ])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_dense_reference(self, n, tied):
+        rng = seeded_rng(202 + n)
+        if tied:
+            t = rng.integers(0, 4, size=n).astype(float)
+            v = rng.integers(0, 4, size=n).astype(float)
+        else:
+            t = rng.standard_normal(n) * 2
+            v = rng.standard_normal(n) * 2
+        dt = np.tanh(t[:, None] - t[None, :])
+        dv = np.tanh(v[:, None] - v[None, :])
+        pairs = n * (n - 1) / 2.0
+        res = order_loss(t, v)
+        assert abs(res.loss - (-(dt * dv).sum() / (2.0 * pairs))) <= 1e-12
+        np.testing.assert_allclose(res.grad_text, -((1 - dt * dt) * dv).sum(axis=1) / pairs,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.grad_visual, -((1 - dv * dv) * dt).sum(axis=1) / pairs,
+                                   rtol=0, atol=1e-12)
+
+    def test_directional_derivative_across_tiles(self):
+        # Several row and column tiles, so the off-diagonal blocks that the
+        # n = 16 gradcheck never reaches carry most of the gradient.
+        n = 700
+        rng = seeded_rng(203)
+        t = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        res = order_loss(t, v)
+        grad = np.concatenate([res.grad_text, res.grad_visual])
+        h = 1e-5
+        for _ in range(5):
+            u = rng.standard_normal(2 * n)
+            u /= np.linalg.norm(u)
+            du, dw = u[:n], u[n:]
+            numeric = (order_loss(t + h * du, v + h * dw).loss
+                       - order_loss(t - h * du, v - h * dw).loss) / (2 * h)
+            analytic = float(grad @ u)
+            assert abs(numeric - analytic) <= 1e-4 * max(abs(analytic), 1e-8)
 
 
 class TestSoftTauConvergence:
