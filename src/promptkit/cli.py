@@ -110,6 +110,8 @@ def _cmd_fuse_demo(args) -> int:
     dim = int(cfg["dim"])
     seed = int(cfg.get("seed", _default_seed()))
     layers = int(cfg.get("layers", 3))
+    if layers < 0:
+        raise ValueError(f"layers must be >= 0, got {layers}")
     state = fusion.FusionState.seeded(
         dim=dim,
         n_features=int(cfg.get("feature_tokens", 32)),
@@ -117,9 +119,8 @@ def _cmd_fuse_demo(args) -> int:
         n_visual=int(cfg.get("visual_prompts", 4)),
         seed=seed,
     )
-    layer_stats = []
-    for layer_idx in range(layers):
-        params = fusion.FusionParams.seeded(
+    state, layer_stats = fusion.run_layers(state, (
+        fusion.FusionParams.seeded(
             dim=dim,
             seed=seed + 1 + layer_idx,
             d_k=cfg.get("d_k"),
@@ -127,8 +128,8 @@ def _cmd_fuse_demo(args) -> int:
             scale=float(cfg.get("scale", 0.2)),
             per_pathway_background=bool(cfg.get("per_pathway_background", False)),
         )
-        layer_stats.append(fusion.background_activation_stats(state, params))
-        state = fusion.fusion_layer(state, params)
+        for layer_idx in range(layers)
+    ))
     _emit({
         "config": {"dim": dim, "seed": seed, "layers": layers},
         "token_counts": state.counts(),

@@ -7,13 +7,14 @@ updated from features, features updated from visual prompts), then a
 residual feed-forward block per stream.  Every cross-attention appends
 a learnable background vector as an extra key/value row so that a query
 dissimilar to all keys attends to the background instead of
-reconstructing its nearest key.
+reconstructing its nearest key.  ``run_layers`` reads each layer's
+background attention mass off the same pass that updates the streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +30,12 @@ PATHWAYS = {
     "features": ("features", "visual"),
 }
 PATHWAY_ORDER = ("text", "visual", "features")
+
+
+def _attention(q, keys, values, d_k: int):
+    """Scaled dot-product softmax attention: ``(output, weights)``."""
+    weights = softmax_rows((q @ keys.T) / np.sqrt(float(d_k)))
+    return weights @ values, weights
 
 
 def gated_attn(q, k, v, background, d_k: int):
@@ -49,16 +56,8 @@ def gated_attn(q, k, v, background, d_k: int):
         raise ValueError("gated attention requires at least one key row")
     if d_k <= 0:
         raise ValueError("d_k must be positive")
-    keys = np.vstack([k, b])
-    values = np.vstack([v, b])
-    logits = (q @ keys.T) / np.sqrt(float(d_k))
-    weights = softmax_rows(logits)
-    return weights @ values, weights[:, -1]
-
-
-def _plain_attn(q, k, v, d_k: int):
-    logits = (q @ k.T) / np.sqrt(float(d_k))
-    return softmax_rows(logits) @ v
+    out, weights = _attention(q, np.vstack([k, b]), np.vstack([v, b]), d_k)
+    return out, weights[:, -1]
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,9 @@ class FfnWeights:
 class FusionParams:
     """One fusion layer's weights.
 
-    ``background_token`` has shape (d,) when shared across pathways, or
-    (3, d) with one row per pathway in PATHWAY_ORDER when
-    ``per_pathway_background`` is set.
+    The shape of ``background_token`` decides how it is used: a (d,)
+    token is shared by all three pathways, and a (3, d) token gives one
+    row per pathway in PATHWAY_ORDER.
     """
 
     d_k: int
@@ -119,7 +118,6 @@ class FusionParams:
     self_attn: Mapping[str, AttnWeights]
     cross_attn: Mapping[str, AttnWeights]
     ffn: Mapping[str, FfnWeights]
-    per_pathway_background: bool = False
 
     def __post_init__(self):
         if self.d_k <= 0:
@@ -127,8 +125,8 @@ class FusionParams:
         b = np.asarray(self.background_token, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise ValueError("background token must be finite")
-        if self.per_pathway_background:
-            if b.ndim != 2 or b.shape[0] != len(PATHWAY_ORDER):
+        if b.ndim == 2:
+            if b.shape[0] != len(PATHWAY_ORDER):
                 raise ValueError(
                     f"per-pathway background needs shape (3, d), got {b.shape}"
                 )
@@ -143,16 +141,17 @@ class FusionParams:
 
     def background_for(self, pathway: str) -> np.ndarray:
         b = np.asarray(self.background_token, dtype=np.float64)
-        if self.per_pathway_background:
-            return b[PATHWAY_ORDER.index(pathway)]
-        return b
+        return b[PATHWAY_ORDER.index(pathway)] if b.ndim == 2 else b
 
     @classmethod
     def seeded(cls, dim: int, seed: int, d_k: int | None = None, hidden: int | None = None,
                scale: float = 0.2, per_pathway_background: bool = False) -> "FusionParams":
+        """Random weights; ``per_pathway_background`` draws a (3, d) token."""
+        d_k = dim if d_k is None else d_k
+        hidden = 2 * dim if hidden is None else hidden
+        if hidden < 1:
+            raise ValueError("hidden must be positive")
         rng = seeded_rng(seed)
-        d_k = d_k or dim
-        hidden = hidden or 2 * dim
         background = (
             rng.standard_normal((len(PATHWAY_ORDER), dim))
             if per_pathway_background
@@ -164,7 +163,6 @@ class FusionParams:
             self_attn={s: AttnWeights.seeded(dim, rng, scale) for s in STREAMS},
             cross_attn={p: AttnWeights.seeded(dim, rng, scale) for p in PATHWAY_ORDER},
             ffn={s: FfnWeights.seeded(dim, hidden, rng, scale) for s in STREAMS},
-            per_pathway_background=per_pathway_background,
         )
 
     @classmethod
@@ -172,7 +170,7 @@ class FusionParams:
         """All projections zero: fusion_layer becomes the identity."""
         b = np.zeros(dim) if background is None else np.asarray(background, dtype=np.float64)
         return cls(
-            d_k=d_k or dim,
+            d_k=dim if d_k is None else d_k,
             background_token=b,
             self_attn={s: AttnWeights.zeros(dim) for s in STREAMS},
             cross_attn={p: AttnWeights.zeros(dim) for p in PATHWAY_ORDER},
@@ -218,23 +216,21 @@ class FusionState:
         )
 
 
-def _self_attended(state: FusionState, params: FusionParams) -> dict:
+def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
+    """Self- then cross-attention of one layer: the streams after it, and
+    the mean/max background attention mass of each pathway that ran."""
+    b_dim = np.asarray(params.background_token).shape[-1]
+    if b_dim != state.dim:
+        raise ValueError(f"background token dim {b_dim} != state dim {state.dim}")
     snapshot = {}
     for name in STREAMS:
         x = getattr(state, name)
-        if x.shape[0] == 0:
-            snapshot[name] = x
-            continue
-        w = params.self_attn[name]
-        update = _plain_attn(x @ w.wq, x @ w.wk, x @ w.wv, params.d_k) @ w.wo
-        snapshot[name] = x + update
-    return snapshot
-
-
-def _pathway_updates(snapshot: dict, params: FusionParams) -> tuple[dict, dict]:
-    """Cross-attention updates and background weights per runnable pathway."""
-    updates = {}
-    bg_weights = {}
+        if x.shape[0]:
+            w = params.self_attn[name]
+            x = x + _attention(x @ w.wq, x @ w.wk, x @ w.wv, params.d_k)[0] @ w.wo
+        snapshot[name] = x
+    streams = dict(snapshot)
+    stats = {}
     for pathway in PATHWAY_ORDER:
         q_name, kv_name = PATHWAYS[pathway]
         q_tokens = snapshot[q_name]
@@ -249,9 +245,16 @@ def _pathway_updates(snapshot: dict, params: FusionParams) -> tuple[dict, dict]:
             params.background_for(pathway),
             params.d_k,
         )
-        updates[pathway] = out @ w.wo
-        bg_weights[pathway] = bg
-    return updates, bg_weights
+        streams[pathway] = q_tokens + out @ w.wo
+        stats[pathway] = {"mean": float(bg.mean()), "max": float(bg.max())}
+    return streams, stats
+
+
+def _feed_forward(streams: dict, params: FusionParams) -> FusionState:
+    return FusionState(**{
+        name: x + params.ffn[name].apply(x) if x.shape[0] else x
+        for name, x in streams.items()
+    })
 
 
 def fusion_layer(state: FusionState, params: FusionParams) -> FusionState:
@@ -260,22 +263,7 @@ def fusion_layer(state: FusionState, params: FusionParams) -> FusionState:
     Pathways whose query or key stream is empty are skipped, leaving
     the remaining pathways identical to a run without that stream.
     """
-    if np.asarray(params.background_token).shape[-1] != state.dim:
-        raise ValueError(
-            f"background token dim {np.asarray(params.background_token).shape[-1]} "
-            f"!= state dim {state.dim}"
-        )
-    snapshot = _self_attended(state, params)
-    updates, _ = _pathway_updates(snapshot, params)
-    streams = dict(snapshot)
-    for pathway, update in updates.items():
-        streams[pathway] = snapshot[pathway] + update
-    for name in STREAMS:
-        x = streams[name]
-        if x.shape[0] == 0:
-            continue
-        streams[name] = x + params.ffn[name].apply(x)
-    return FusionState(**streams)
+    return _feed_forward(_attend(state, params)[0], params)
 
 
 def background_activation_stats(state: FusionState, params: FusionParams) -> dict:
@@ -283,9 +271,15 @@ def background_activation_stats(state: FusionState, params: FusionParams) -> dic
 
     Pathways skipped for empty streams are omitted from the result.
     """
-    snapshot = _self_attended(state, params)
-    _, bg_weights = _pathway_updates(snapshot, params)
-    return {
-        pathway: {"mean": float(w.mean()), "max": float(w.max())}
-        for pathway, w in bg_weights.items()
-    }
+    return _attend(state, params)[1]
+
+
+def run_layers(state: FusionState, layers: Iterable[FusionParams]) -> tuple[FusionState, list[dict]]:
+    """Apply ``layers`` in order, one pass each: the final state, and each
+    layer's ``background_activation_stats`` read off that same pass."""
+    stats = []
+    for params in layers:
+        streams, layer_stats = _attend(state, params)
+        stats.append(layer_stats)
+        state = _feed_forward(streams, params)
+    return state, stats

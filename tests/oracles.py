@@ -2,7 +2,8 @@
 
 Nothing here may share code with the library paths it checks: the
 Kendall oracle counts pair signs in pure Python, the assignment oracle
-enumerates permutations, and box/mask fixtures are built from scratch.
+enumerates permutations, the fusion oracle softmaxes one query row at
+a time, and box/mask fixtures are built from scratch.
 """
 
 from __future__ import annotations
@@ -74,6 +75,63 @@ def top_k_by_sum(text, visual, k) -> list[int]:
     combined = [0.5 * t + 0.5 * v for t, v in zip(text, visual)]
     order = sorted(range(len(combined)), key=lambda i: (-combined[i], i))
     return order[:k]
+
+
+# (query stream, key/value stream) of each gated cross-attention pathway,
+# in application order; a (3, d) background token has one row per entry.
+FUSION_PATHWAYS = (("text", "features"), ("visual", "features"), ("features", "visual"))
+
+
+def _attend_rows(queries, keys, values, d_k):
+    """Softmax attention one query row at a time; returns the outputs
+    and, per query, its list of weights over the key rows."""
+    outputs = np.zeros((len(queries), values.shape[1]))
+    weights = []
+    for i, q in enumerate(queries):
+        logits = [float(np.dot(q, k)) / math.sqrt(d_k) for k in keys]
+        top = max(logits)
+        exps = [math.exp(x - top) for x in logits]
+        total = sum(exps)
+        row = [e / total for e in exps]
+        for w, v in zip(row, values):
+            outputs[i] += w * v
+        weights.append(row)
+    return outputs, weights
+
+
+def reference_fusion_layer(streams, params):
+    """One early-fusion layer written out with explicit per-row softmax.
+
+    ``streams`` maps "features"/"text"/"visual" to (n, d) arrays;
+    ``params`` is read for its raw arrays only.  Returns the new streams
+    and, per pathway that ran, the mean/max background attention mass.
+    """
+    background = np.asarray(params.background_token, dtype=np.float64)
+    snapshot = {}
+    for name, x in streams.items():
+        if len(x):
+            w = params.self_attn[name]
+            out, _ = _attend_rows(x @ w.wq, x @ w.wk, x @ w.wv, params.d_k)
+            x = x + out @ w.wo
+        snapshot[name] = x
+    updated = dict(snapshot)
+    stats = {}
+    for row, (q_name, kv_name) in enumerate(FUSION_PATHWAYS):
+        q, kv = snapshot[q_name], snapshot[kv_name]
+        if len(q) == 0 or len(kv) == 0:
+            continue
+        w = params.cross_attn[q_name]
+        b = background[row] if background.ndim == 2 else background
+        out, weights = _attend_rows(
+            q @ w.wq, np.vstack([kv @ w.wk, b]), np.vstack([kv @ w.wv, b]), params.d_k)
+        updated[q_name] = q + out @ w.wo
+        mass = [ws[-1] for ws in weights]
+        stats[q_name] = {"mean": sum(mass) / len(mass), "max": max(mass)}
+    for name, x in updated.items():
+        if len(x):
+            f = params.ffn[name]
+            updated[name] = x + np.maximum(x @ f.w1 + f.b1, 0.0) @ f.w2 + f.b2
+    return updated, stats
 
 
 def random_valid_box(rng) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 import promptkit
 from oracles import make_annotation_fixture
+from promptkit import fusion
 from promptkit.cli import SOFT_TAU_MAX_N, build_parser, main
 
 
@@ -129,6 +130,43 @@ class TestFuseDemo:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", [{"layers": -2}, {"d_k": 0}, {"hidden": 0}],
+                             ids=["negative-layers", "zero-d_k", "zero-hidden"])
+    def test_bad_size_gives_one_line_error(self, tmp_path, capsys, override):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, **override}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_layers_reports_no_layer(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 0, "feature_tokens": 5}))
+        code, out, _ = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["layers"] == 0
+        assert payload["background_activation"] == []
+        assert payload["token_counts"] == {"features": 5, "text": 4, "visual": 4}
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_one_attention_pass_per_layer(self, tmp_path, capsys, monkeypatch, layers):
+        calls = []
+        real = fusion.gated_attn
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "gated_attn", counting)
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": layers}))
+        code, out, _ = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 0
+        assert len(json.loads(out)["background_activation"]) == layers
+        assert len(calls) == 3 * layers
 
 
 class TestSample:

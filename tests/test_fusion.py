@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_fusion_layer
 from promptkit.fusion import (
     AttnWeights,
     FfnWeights,
@@ -13,6 +16,7 @@ from promptkit.fusion import (
     background_activation_stats,
     fusion_layer,
     gated_attn,
+    run_layers,
 )
 from promptkit.numeric import seeded_rng
 
@@ -173,11 +177,10 @@ class TestPerPathwayBackground:
         with pytest.raises(ValueError, match="3, d"):
             FusionParams(
                 d_k=4,
-                background_token=np.zeros(4),
+                background_token=np.zeros((2, 4)),
                 self_attn={s: AttnWeights.zeros(4) for s in STREAMS},
                 cross_attn={p: AttnWeights.zeros(4) for p in PATHWAY_ORDER},
                 ffn={s: FfnWeights.zeros(4, 4) for s in STREAMS},
-                per_pathway_background=True,
             )
 
     def test_background_for_selects_row(self):
@@ -185,6 +188,10 @@ class TestPerPathwayBackground:
         b = np.asarray(params.background_token)
         for i, pathway in enumerate(PATHWAY_ORDER):
             np.testing.assert_array_equal(params.background_for(pathway), b[i])
+
+    def test_token_of_other_rank_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            FusionParams.zero_update(4, background=np.zeros((3, 4, 1)))
 
     def test_shared_background_default(self):
         params = FusionParams.seeded(4, seed=1)
@@ -209,3 +216,85 @@ class TestBackgroundActivationStats:
         )
         params = FusionParams.seeded(6, seed=13)
         assert background_activation_stats(state, params) == {}
+
+
+class TestRunLayers:
+    def test_equals_wrapper_loop_bit_for_bit(self):
+        for per_pathway in (False, True):
+            for counts in ((9, 3, 2), (7, 0, 3), (7, 2, 0), (5, 0, 0)):
+                state = FusionState.seeded(6, *counts, seed=21)
+                layers = [FusionParams.seeded(6, seed=30 + k, per_pathway_background=per_pathway)
+                          for k in range(3)]
+                out, stats = run_layers(state, layers)
+                expected_stats = []
+                for params in layers:
+                    expected_stats.append(background_activation_stats(state, params))
+                    state = fusion_layer(state, params)
+                assert stats == expected_stats
+                for name in STREAMS:
+                    assert np.array_equal(getattr(out, name), getattr(state, name))
+
+    @pytest.mark.parametrize("background", [np.ones(5), np.ones((3, 5))], ids=["shared", "per-pathway"])
+    @pytest.mark.parametrize(
+        "entry",
+        [fusion_layer, background_activation_stats, lambda state, params: run_layers(state, [params])],
+        ids=["fusion_layer", "background_activation_stats", "run_layers"],
+    )
+    def test_background_dim_mismatch_same_error(self, entry, background):
+        state = FusionState.seeded(4, 3, 1, 1, seed=0)
+        params = FusionParams.zero_update(4, background=background)
+        with pytest.raises(ValueError, match=r"^background token dim 5 != state dim 4$"):
+            entry(state, params)
+
+
+def assert_state_close(state, expected):
+    # Library and oracle sum in different orders; measure the gap
+    # against each stream's largest entry.
+    for name in STREAMS:
+        got, want = getattr(state, name), expected[name]
+        assert got.shape == want.shape
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def assert_stats_close(stats, expected):
+    assert sorted(stats) == sorted(expected)
+    for pathway, entry in expected.items():
+        for key in ("mean", "max"):
+            assert stats[pathway][key] == pytest.approx(entry[key], rel=1e-12, abs=1e-12)
+
+
+# Weight scales above 0.5 grow the streams to 1e5-1e8 over three layers,
+# where softmax round-off alone exceeds the tolerance.
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    n_features=st.integers(1, 12),
+    n_text=st.integers(0, 5),
+    n_visual=st.integers(0, 5),
+    per_pathway=st.booleans(),
+    n_layers=st.integers(1, 3),
+    d_k=st.one_of(st.none(), st.integers(1, 8)),
+    hidden=st.one_of(st.none(), st.integers(1, 8)),
+    scale=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_matches_reference_fusion_layer(dim, n_features, n_text, n_visual, per_pathway,
+                                        n_layers, d_k, hidden, scale, seed):
+    state = FusionState.seeded(dim, n_features, n_text, n_visual, seed=seed)
+    layers = [FusionParams.seeded(dim, seed=seed + 1 + k, d_k=d_k, hidden=hidden, scale=scale,
+                                  per_pathway_background=per_pathway)
+              for k in range(n_layers)]
+    expected = {name: getattr(state, name) for name in STREAMS}
+    expected_stats = []
+    stepped = state
+    for params in layers:
+        expected, layer_stats = reference_fusion_layer(expected, params)
+        expected_stats.append(layer_stats)
+        assert_stats_close(background_activation_stats(stepped, params), layer_stats)
+        stepped = fusion_layer(stepped, params)
+        assert_state_close(stepped, expected)
+    out, stats = run_layers(state, layers)
+    assert_state_close(out, expected)
+    for got, want in zip(stats, expected_stats, strict=True):
+        assert_stats_close(got, want)
