@@ -108,13 +108,19 @@ def _cmd_fuse_demo(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     dim = int(cfg["dim"])
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     seed = int(cfg.get("seed", _default_seed()))
     layers = int(cfg.get("layers", 3))
     if layers < 0:
         raise ValueError(f"layers must be >= 0, got {layers}")
+    # Without feature tokens every pathway is skipped and there is nothing to report.
+    n_features = int(cfg.get("feature_tokens", 32))
+    if n_features < 1:
+        raise ValueError(f"feature_tokens must be >= 1, got {n_features}")
     state = fusion.FusionState.seeded(
         dim=dim,
-        n_features=int(cfg.get("feature_tokens", 32)),
+        n_features=n_features,
         n_text=int(cfg.get("text_prompts", 4)),
         n_visual=int(cfg.get("visual_prompts", 4)),
         seed=seed,
@@ -174,8 +180,7 @@ def _cmd_verify(args) -> int:
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+        engine.write_text_atomic(args.report, text + "\n")
     for err in result.errors:
         print(f"error: {err}", file=sys.stderr)
     return 1 if result.failed else 0

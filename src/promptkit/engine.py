@@ -20,13 +20,20 @@ additionally carry "similarity" and, when tags differ, "alias_tag".
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+import os
+import secrets
+import stat
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .losses import hungarian, pairwise_iou, validate_box
+from .losses import hungarian, pairwise_iou, validate_box, validate_boxes
 from .numeric import cosine_matrix
 
 SOURCES = ("top_down", "bottom_up")
@@ -56,6 +63,18 @@ class Instance:
             raise ValueError(f"instance score must lie in [0, 1], got {self.score}")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+
+    @classmethod
+    def _row(cls, box, tag, score, source, similarity=None, alias_tag=None) -> "Instance":
+        """An instance whose fields were checked by the caller; nothing is
+        checked again."""
+        inst = object.__new__(cls)
+        # One attribute at a time, as the generated __init__ does: a
+        # replaced __dict__ would take about twice the memory.
+        for name, value in (("box", box), ("tag", tag), ("score", score), ("source", source),
+                            ("similarity", similarity), ("alias_tag", alias_tag)):
+            object.__setattr__(inst, name, value)
+        return inst
 
     def to_dict(self) -> dict:
         d = {
@@ -93,27 +112,25 @@ class AnnotationSet:
                     f"instance source {inst.source!r} differs from set source {self.source!r}"
                 )
 
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """The instances' boxes as one (n, 4) array.  The instances of a
+        set built by ``from_dict`` hold its rows as their boxes."""
+        return np.array([inst.box for inst in self.instances]).reshape(-1, 4)
+
     @classmethod
     def from_dict(cls, obj: dict) -> "AnnotationSet":
         source = obj["source"]
-        instances = tuple(
-            Instance(
-                box=np.asarray(item["box"], dtype=np.float64),
-                tag=item["tag"],
-                score=float(item["score"]),
-                source=source,
-                similarity=item.get("similarity"),
-                alias_tag=item.get("alias_tag"),
-            )
-            for item in obj["instances"]
-        )
-        return cls(
+        boxes, instances = _instance_rows(list(obj["instances"]), source)
+        ann = cls(
             image_id=str(obj["image_id"]),
             width=int(obj["width"]),
             height=int(obj["height"]),
             source=source,
             instances=instances,
         )
+        ann.__dict__["boxes"] = boxes  # fills the cached property
+        return ann
 
     @classmethod
     def from_file(cls, path) -> "AnnotationSet":
@@ -130,7 +147,88 @@ class AnnotationSet:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``,
+        written from a fixed template rather than by the generic encoder."""
+        instances = ",\n".join(map(_instance_json, self.instances, self.boxes.tolist()))
+        return "".join((
+            '{\n  "height": ', _json_value(self.height, 1),
+            ',\n  "image_id": ', _json_value(self.image_id, 1),
+            ',\n  "instances": ', f"[\n{instances}\n  ]" if instances else "[]",
+            ',\n  "source": ', _json_value(self.source, 1),
+            ',\n  "width": ', _json_value(self.width, 1),
+            "\n}\n",
+        ))
+
+
+def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...]]:
+    """The instances of a file's ``items`` as rows of one (n, 4) box array,
+    each check ``Instance`` makes done once over the whole column."""
+    try:
+        boxes = validate_boxes(np.array([item["box"] for item in items], dtype=np.float64)
+                               if items else np.empty((0, 4)))
+        tags = [item["tag"] for item in items]
+        scores = [float(item["score"]) for item in items]
+        similarities = [item.get("similarity") for item in items]
+        alias_tags = [item.get("alias_tag") for item in items]
+        valid = source in SOURCES and all(tags) and all(0.0 <= score <= 1.0 for score in scores)
+    except Exception:  # the walk below raises it again, for the right instance
+        valid = False
+    if valid:
+        return boxes, tuple(map(Instance._row, boxes, tags, scores, repeat(source),
+                                similarities, alias_tags))
+    # Some instance is invalid: build them one at a time, so that the first
+    # bad one in file order raises its own message.
+    instances = tuple(
+        Instance(
+            box=np.asarray(item["box"], dtype=np.float64),
+            tag=item["tag"],
+            score=float(item["score"]),
+            source=source,
+            similarity=item.get("similarity"),
+            alias_tag=item.get("alias_tag"),
+        )
+        for item in items
+    )
+    return np.array([inst.box for inst in instances]).reshape(-1, 4), instances
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_value(value, depth: int) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    ``depth`` levels deep."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _instance_json(inst: Instance, box: list[float]) -> str:
+    """``inst.to_dict()`` as ``AnnotationSet.to_json`` writes it; ``box``
+    holds its validated, finite coordinates."""
+    alias = "" if inst.alias_tag is None else \
+        f'\n      "alias_tag": {_json_value(inst.alias_tag, 3)},'
+    similarity = "" if inst.similarity is None else \
+        f'\n      "similarity": {_json_float(float(inst.similarity))},'
+    x1, y1, x2, y2 = map(float.__repr__, box)
+    return (f'    {{{alias}\n      "box": [\n        {x1},\n        {y1},\n        {x2},\n'
+            f'        {y2}\n      ],\n      "score": {_json_float(float(inst.score))},'
+            f'{similarity}\n      "tag": {_json_value(inst.tag, 3)}\n    }}')
 
 
 def _retention_rates(retained: int, input_a: int, input_b: int) -> dict[str, float]:
@@ -166,9 +264,8 @@ class VerificationReport:
             object.__setattr__(self, name, rate)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        del d["similarities_before"], d["similarities_after"]
-        return d
+        return {name: value for name, value in vars(self).items()
+                if name not in ("similarities_before", "similarities_after")}
 
 
 def cross_verify(
@@ -198,7 +295,7 @@ def cross_verify(
 
     assignment: dict[int, int] = {}
     if a.instances and b.instances:
-        overlaps = pairwise_iou([ia.box for ia in a.instances], [ib.box for ib in b.instances])
+        overlaps = pairwise_iou(a.boxes, b.boxes)
         assignment, _ = hungarian(1.0 - overlaps)
     gated = [(a.instances[i], b.instances[j]) for i, j in sorted(assignment.items())
              if overlaps[i, j] >= iou_gate]
@@ -212,7 +309,8 @@ def cross_verify(
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]
-    retained = [replace(ia, similarity=sim, alias_tag=ib.tag if ib.tag != ia.tag else None)
+    retained = [Instance._row(ia.box, ia.tag, ia.score, ia.source, sim,
+                              ib.tag if ib.tag != ia.tag else None)
                 for ia, ib, sim in kept]
 
     report = VerificationReport(
@@ -254,6 +352,43 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
     return sets, errors
 
 
+class _EmbedOnce:
+    """An embedding provider that computes each tag's vector on first use
+    only: one ``embed`` call per distinct tag for the object's lifetime."""
+
+    def __init__(self, emb):
+        self._emb = emb
+        self._vectors: dict = {}
+
+    def embed(self, tag: str) -> np.ndarray:
+        if tag not in self._vectors:
+            self._vectors[tag] = self._emb.embed(tag)
+        return self._vectors[tag]
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so that ``path`` holds either its old
+    content or all of ``text``.  The file gets the mode ``Path.write_text``
+    would leave it with: an existing file's mode, else 0o666 less the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # Name the file asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 @dataclass(frozen=True)
 class BatchVerifyResult:
     reports: tuple[VerificationReport, ...]
@@ -281,12 +416,15 @@ def batch_verify(
     produce no verified output.  Malformed files are recorded as errors
     and processing continues.  With ``out_dir`` set, one verified JSON
     file per image is written as ``<image_id>.json``; an image_id that
-    would write outside it raises before any write.  ``jobs`` has no effect.
+    would write outside it raises before any write.  Each file is written
+    atomically (``write_text_atomic``).  ``emb.embed`` is called once per
+    distinct tag.  ``jobs`` has no effect.
     """
     sets_a, errors_a = _load_dir(dir_a)
     sets_b, errors_b = _load_dir(dir_b)
     shared = sorted(set(sets_a) & set(sets_b))
     unpaired = sorted(set(sets_a) ^ set(sets_b))
+    emb = _EmbedOnce(emb)
     results = [cross_verify(sets_a[image_id], sets_b[image_id], emb,
                             iou_gate=iou_gate, sim_threshold=sim_threshold)
                for image_id in shared]
@@ -299,7 +437,7 @@ def batch_verify(
                 raise ValueError(f"image_id {v.image_id!r} would be written outside {out}")
         out.mkdir(parents=True, exist_ok=True)
         for v in verified:
-            (out / f"{v.image_id}.json").write_text(v.to_json())
+            write_text_atomic(out / f"{v.image_id}.json", v.to_json())
     return BatchVerifyResult(
         reports=reports,
         verified=verified,

@@ -51,6 +51,20 @@ def validate_box(b, name: str = "box") -> np.ndarray:
     return a
 
 
+def validate_boxes(boxes, name: str = "boxes") -> np.ndarray:
+    """``validate_box`` on every row of an (n, 4) array in one pass.  The
+    first bad row raises the message ``validate_box`` gives it."""
+    a = np.asarray(boxes, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise ValueError(f"{name} must be an (n, 4) array, got shape {a.shape}")
+    # The range test is False for NaN and +-inf as well.
+    ok = ((a >= 0.0) & (a <= 1.0)).all(axis=1) & (a[:, :2] <= a[:, 2:]).all(axis=1)
+    if not ok.all():
+        row = int(ok.argmin())
+        validate_box(a[row], f"{name}[{row}]")
+    return a
+
+
 def iou(a, b) -> float:
     """Intersection over union in [0, 1].
 

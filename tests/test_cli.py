@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import promptkit
 from oracles import make_annotation_fixture
-from promptkit import fusion
+from promptkit import engine, fusion
 from promptkit.cli import SOFT_TAU_MAX_N, build_parser, main
 
 
@@ -141,6 +142,18 @@ class TestFuseDemo:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("override, key", [
+        ({"dim": 0}, "dim"), ({"dim": -1}, "dim"),
+        ({"feature_tokens": 0}, "feature_tokens"), ({"feature_tokens": -3}, "feature_tokens"),
+    ], ids=["zero-dim", "negative-dim", "zero-features", "negative-features"])
+    def test_bad_size_names_its_key(self, tmp_path, capsys, override, key):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, **override}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {key} must be >= 1, got {next(iter(override.values()))}\n"
+
     def test_zero_layers_reports_no_layer(self, tmp_path, capsys):
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 0, "feature_tokens": 5}))
@@ -235,6 +248,30 @@ class TestVerify:
         assert payload["aggregate"]["images"] == 4
         assert json.loads(report.read_text()) == payload
         assert len(list(out_dir.glob("*.json"))) == 4
+
+    def test_failed_report_write_keeps_old_report(self, tmp_path, capsys, monkeypatch):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=8))
+        report = tmp_path / "report.json"
+        report.write_text("old report\n")
+        real_open = open
+
+        def disk_full(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                def write(text):
+                    fh.buffer.write(text[: len(text) // 2].encode())
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(engine, "open", disk_full, raising=False)
+        code, _, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                               "--hash-fallback", "--report", str(report))
+        assert code == 1
+        assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{report}'\n"
+        assert report.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "report.json"]
 
     def test_malformed_file_gives_exit_one(self, tmp_path, capsys):
         pairs = make_annotation_fixture(2, seed=3)

@@ -29,6 +29,8 @@ from promptkit.losses import (
     pairwise_giou_loss,
     pairwise_iou,
     pairwise_l1,
+    validate_box,
+    validate_boxes,
 )
 from promptkit.numeric import cosine_matrix, log_softmax_rows, seeded_rng, softmax_rows
 
@@ -201,3 +203,35 @@ def test_match_and_total_loss_equals_scalar_reconstruction(seed, n_preds, n_targ
     for name, value in expected.items():
         assert abs(getattr(breakdown, name) - value) <= 1e-12, name
     assert abs(breakdown.total - sum(expected.values())) <= 1e-12
+
+
+# Valid and invalid coordinates alike: out of range, non-finite, and
+# grid values that make inverted and degenerate boxes common.
+CHECKED_COORD = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(4)), elements=CHECKED_COORD))
+def test_validate_boxes_equals_scalar_check_row_by_row(boxes):
+    first_error = None
+    for i, row in enumerate(boxes):
+        try:
+            validate_box(row, f"boxes[{i}]")
+        except ValueError as exc:
+            first_error = str(exc)
+            break
+    if first_error is None:
+        assert validate_boxes(boxes) is boxes
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            validate_boxes(boxes)
+        assert str(excinfo.value) == first_error
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1)])
+def test_validate_boxes_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"\(n, 4\) array"):
+        validate_boxes(np.zeros(shape))
