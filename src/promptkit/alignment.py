@@ -69,6 +69,17 @@ class AlignResult:
     grad_negative: np.ndarray | None = None
 
 
+def _cross_entropy(queries, keys, inv_temp: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy of query i against every key, with key i
+    as its positive, and the gradients w.r.t. queries and keys."""
+    k = queries.shape[0]
+    log_p = log_softmax_rows((queries @ keys.T) * inv_temp)
+    d = np.exp(log_p)
+    d[:, :k] -= np.eye(k)
+    d /= k                                         # dL/dlogits
+    return -np.trace(log_p[:, :k]) / k, (d @ keys) * inv_temp, (d.T @ queries) * inv_temp
+
+
 def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
                negative_visual=None) -> AlignResult:
     """Symmetric contrastive loss with analytic gradients.
@@ -97,35 +108,14 @@ def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
             raise ValueError(f"negatives must be (M, {v.shape[1]}), got {neg.shape}")
 
     inv_temp = 1.0 / temperature
-
-    # Direction 1: visual queries against text keys.
-    s1 = (v @ t.T) * inv_temp
-    log_p1 = log_softmax_rows(s1)
-    p1 = np.exp(log_p1)
-    loss1 = -np.trace(log_p1) / k
-    d1 = (p1 - np.eye(k)) / k                      # dL1/ds1
-    grad1_v = (d1 @ t) * inv_temp
-    grad1_t = (d1.T @ v) * inv_temp
-
-    # Direction 2: text queries against visual keys plus optional negatives.
+    loss1, grad1_v, grad1_t = _cross_entropy(v, t, inv_temp)
     keys = v if neg is None else np.vstack([v, neg])
-    s2 = (t @ keys.T) * inv_temp
-    log_p2 = log_softmax_rows(s2)
-    p2 = np.exp(log_p2)
-    loss2 = -np.trace(log_p2[:, :k]) / k
-    d2 = p2.copy()
-    d2[:, :k] -= np.eye(k)
-    d2 /= k
-    grad2_t = (d2 @ keys) * inv_temp
-    grad2_keys = (d2.T @ t) * inv_temp
-    grad2_v = grad2_keys[:k]
-    grad_neg = grad2_keys[k:] * 0.5 if neg is not None else None
-
+    loss2, grad2_t, grad2_keys = _cross_entropy(t, keys, inv_temp)
     return AlignResult(
         loss=0.5 * (loss1 + loss2),
-        grad_visual=0.5 * (grad1_v + grad2_v),
+        grad_visual=0.5 * (grad1_v + grad2_keys[:k]),
         grad_text=0.5 * (grad1_t + grad2_t),
-        grad_negative=grad_neg,
+        grad_negative=grad2_keys[k:] * 0.5 if neg is not None else None,
     )
 
 

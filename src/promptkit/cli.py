@@ -32,7 +32,11 @@ SOFT_TAU_MAX_N = 20_000
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _emit(obj) -> None:
@@ -104,25 +108,27 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _config_count(cfg: dict, key: str, default, least: int) -> int:
+    """``cfg[key]`` (or ``default`` when given and the key is absent) as an
+    int; a value below ``least`` raises an error naming the key."""
+    value = int(cfg[key] if default is None else cfg.get(key, default))
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
 def _cmd_fuse_demo(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    dim = int(cfg["dim"])
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _config_count(cfg, "dim", None, 1)
     seed = int(cfg.get("seed", _default_seed()))
-    layers = int(cfg.get("layers", 3))
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
-    # Without feature tokens every pathway is skipped and there is nothing to report.
-    n_features = int(cfg.get("feature_tokens", 32))
-    if n_features < 1:
-        raise ValueError(f"feature_tokens must be >= 1, got {n_features}")
+    layers = _config_count(cfg, "layers", 3, 0)
     state = fusion.FusionState.seeded(
         dim=dim,
-        n_features=n_features,
-        n_text=int(cfg.get("text_prompts", 4)),
-        n_visual=int(cfg.get("visual_prompts", 4)),
+        # Without feature tokens every pathway is skipped and there is nothing to report.
+        n_features=_config_count(cfg, "feature_tokens", 32, 1),
+        n_text=_config_count(cfg, "text_prompts", 4, 0),
+        n_visual=_config_count(cfg, "visual_prompts", 4, 0),
         seed=seed,
     )
     state, layer_stats = fusion.run_layers(state, (
@@ -242,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

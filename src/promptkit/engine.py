@@ -170,7 +170,8 @@ def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...
         scores = [float(item["score"]) for item in items]
         similarities = [item.get("similarity") for item in items]
         alias_tags = [item.get("alias_tag") for item in items]
-        valid = source in SOURCES and all(tags) and all(0.0 <= score <= 1.0 for score in scores)
+        valid = (source in SOURCES and all(isinstance(tag, str) and tag for tag in tags)
+                 and all(0.0 <= score <= 1.0 for score in scores))
     except Exception:  # the walk below raises it again, for the right instance
         valid = False
     if valid:
@@ -178,18 +179,24 @@ def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...
                                 similarities, alias_tags))
     # Some instance is invalid: build them one at a time, so that the first
     # bad one in file order raises its own message.
-    instances = tuple(
-        Instance(
-            box=np.asarray(item["box"], dtype=np.float64),
-            tag=item["tag"],
-            score=float(item["score"]),
-            source=source,
-            similarity=item.get("similarity"),
-            alias_tag=item.get("alias_tag"),
-        )
-        for item in items
-    )
+    instances = tuple(map(_checked_instance, items, repeat(source)))
     return np.array([inst.box for inst in instances]).reshape(-1, 4), instances
+
+
+def _checked_instance(item: dict, source) -> Instance:
+    """``item`` as an ``Instance``, with a string tag: the constructor
+    itself accepts any nonempty tag."""
+    inst = Instance(
+        box=np.asarray(item["box"], dtype=np.float64),
+        tag=item["tag"],
+        score=float(item["score"]),
+        source=source,
+        similarity=item.get("similarity"),
+        alias_tag=item.get("alias_tag"),
+    )
+    if not isinstance(inst.tag, str):
+        raise ValueError(f"instance tag must be a string, got {inst.tag!r}")
+    return inst
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -342,7 +349,7 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
     for path in sorted(Path(directory).glob("*.json")):
         try:
             ann = AnnotationSet.from_file(path)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError) as exc:
             errors.append(f"{path}: {exc}")
             continue
         if ann.image_id in sets:

@@ -20,8 +20,6 @@ from .losses import bce_mask_loss, dice_loss, giou_loss, l1_box_loss
 from .numeric import GradCheckReport, compare_grads, finite_diff_grad, seeded_rng
 from .ranking import order_loss
 
-GRADCHECK_LOSSES = ("order", "align", "giou", "l1", "dice", "bce")
-
 ALIGN_DIM = 16
 # Moderate sharpening: unit-vector similarities span [-1, 1], so logit
 # gaps stay below 2 / ALIGN_TEMPERATURE and no softmax row saturates.
@@ -128,20 +126,17 @@ def _align_scenario(n: int, seed: int):
     return p0, f, np.concatenate([res.grad_visual.ravel(), res.grad_text.ravel()])
 
 
-def _build_once(loss: str, n: int, seed: int):
-    if loss == "order":
-        return _order_scenario(n, seed)
-    if loss == "align":
-        return _align_scenario(n, seed)
-    if loss == "giou":
-        return _box_scenario(giou_loss, n, seed)
-    if loss == "l1":
-        return _box_scenario(l1_box_loss, n, seed)
-    if loss == "dice":
-        return _mask_scenario(dice_loss, n, seed)
-    if loss == "bce":
-        return _mask_scenario(bce_mask_loss, n, seed)
-    raise ValueError(f"unknown loss {loss!r}; expected one of {GRADCHECK_LOSSES}")
+# Loss name -> scenario builder (n, seed).  The lambdas look each loss up
+# when called, so rebinding a module attribute reaches every scenario.
+_SCENARIOS = {
+    "order": _order_scenario,
+    "align": _align_scenario,
+    "giou": lambda n, seed: _box_scenario(giou_loss, n, seed),
+    "l1": lambda n, seed: _box_scenario(l1_box_loss, n, seed),
+    "dice": lambda n, seed: _mask_scenario(dice_loss, n, seed),
+    "bce": lambda n, seed: _mask_scenario(bce_mask_loss, n, seed),
+}
+GRADCHECK_LOSSES = tuple(_SCENARIOS)
 
 
 def build_scenario(loss: str, n: int, seed: int):
@@ -150,8 +145,10 @@ def build_scenario(loss: str, n: int, seed: int):
     Deterministic in (loss, n, seed); reseeds until every analytic
     gradient coordinate clears the measurability floor.
     """
+    if loss not in _SCENARIOS:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {GRADCHECK_LOSSES}")
     for attempt in range(100):
-        p0, f, analytic = _build_once(loss, n, seed + _RESEED_STRIDE * attempt)
+        p0, f, analytic = _SCENARIOS[loss](n, seed + _RESEED_STRIDE * attempt)
         if np.min(np.abs(analytic)) >= _MIN_GRAD_COORD:
             return p0, f, analytic
     raise RuntimeError(f"no measurable {loss} scenario found for seed {seed}")

@@ -87,8 +87,10 @@ def iou(a, b) -> float:
 def giou_loss(pred, gt) -> tuple[float, np.ndarray]:
     """1 - GIoU with the analytic gradient w.r.t. the predicted box.
 
-    GIoU = IoU - (enclosing_area - union) / enclosing_area; the loss
-    lies in [0, 2).  Max/min corner choices use subgradients, so the
+    GIoU = IoU - (enclosing_area - union) / enclosing_area; for ordered
+    boxes (x1 <= x2, y1 <= y2) the loss lies in [0, 2], and two disjoint
+    zero-area boxes give exactly 2.  Inverted boxes get the same formula
+    and no bound.  Max/min corner choices use subgradients, so the
     gradient is exact away from coordinate ties.
     """
     p = as_box(pred, "pred box")
@@ -372,6 +374,12 @@ def match_and_total_loss(
 ):
     """Hungarian-match predictions to targets and sum the objective.
 
+    When there is something to match, every box must be finite and
+    ordered, x1 <= x2 and y1 <= y2 (zero width or height allowed); any
+    other box raises ``ValueError`` naming its side and index.  A box
+    inverted in both axes has a positive area and no overlap, which
+    leaves ``giou_loss`` unbounded below and lets it win any match.
+
     Matching cost per pair: w_cls * (1 - cos_sim)/2 + w_l1 * L1 +
     w_giou * giou_loss.  Box and mask components are means over matched
     pairs; classification covers every prediction, with unmatched
@@ -399,6 +407,13 @@ def match_and_total_loss(
         sim = cosine_matrix([p.embed for p in preds], [t.embed for t in targets])
         pred_boxes = np.array([as_box(p.box, "pred box") for p in preds])
         gt_boxes = np.array([as_box(t.box, "gt box") for t in targets])
+        boxes = np.vstack([pred_boxes, gt_boxes])
+        inverted = (boxes[:, :2] > boxes[:, 2:]).any(axis=1)
+        if inverted.any():
+            i = int(inverted.argmax())
+            side, index = ("pred", i) if i < len(preds) else ("target", i - len(preds))
+            raise ValueError(f"{side} box {index} must satisfy x1 <= x2 and y1 <= y2, "
+                             f"got {boxes[i].tolist()}")
         l1 = pairwise_l1(pred_boxes, gt_boxes)
         giou = pairwise_giou_loss(pred_boxes, gt_boxes)
         assignment, _ = hungarian(w.cls * (1.0 - sim) / 2.0 + w.l1 * l1 + w.giou * giou)

@@ -23,8 +23,12 @@ DEFAULT_FD_EPS = 1e-5
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """Return a fresh deterministic generator for an explicit 64-bit seed."""
-    return np.random.default_rng(np.uint64(seed))
+    """Return a fresh deterministic generator for an explicit seed in
+    [0, 2**64); any other integer raises ``ValueError``."""
+    try:
+        return np.random.default_rng(np.uint64(seed))
+    except OverflowError:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}") from None
 
 
 def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -148,12 +152,7 @@ class GradCheckReport:
         return self.max_rel_err < tol
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "n_params": self.n_params,
-            "worst_index": self.worst_index,
-        }
+        return dict(vars(self))
 
 
 def compare_grads(analytic, numeric) -> GradCheckReport:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptkit.alignment import (
     AlignBatch,
@@ -260,3 +262,84 @@ class TestSampler:
         manifest = SamplerManifest.from_file(path)
         assert manifest.batch_size == 2
         assert manifest.samples == (("x", "A"), ("y", "A"))
+
+
+@st.composite
+def align_inputs(draw):
+    """Unit (K, d) visual and text rows, 0-5 unit negative rows, a
+    temperature, and one permutation of the K pairs."""
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 64))
+    v, t = unit_rows(rng, k, d), unit_rows(rng, k, d)
+    neg = unit_rows(rng, draw(st.integers(0, 5)), d)
+    temperature = draw(st.floats(0.05, 3.0))
+    return v, t, neg, temperature, rng.permutation(k)
+
+
+class TestAlignLossProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(align_inputs())
+    def test_empty_negative_block_is_no_negatives(self, inputs):
+        v, t, neg, temperature, _ = inputs
+        empty = np.empty((0, v.shape[1]))
+        without = align_loss(v, t, temperature)
+        res = align_loss(v, t, temperature, negative_visual=empty)
+        assert res.loss == without.loss
+        assert np.array_equal(res.grad_visual, without.grad_visual)
+        assert np.array_equal(res.grad_text, without.grad_text)
+        assert without.grad_negative is None
+        assert res.grad_negative.shape == (0, v.shape[1])
+
+    # Permuting the pairs permutes the rows and columns the matrix products
+    # and softmax sums run over, so their rounding may differ.  Unit rows,
+    # K <= 12, d <= 64 and temperatures >= 0.05 keep each logit's error below
+    # 64 * 2**-53 / 0.05, about 1.4e-13, well inside these tolerances.
+    @settings(max_examples=200, deadline=None)
+    @given(align_inputs(), st.booleans())
+    def test_pair_permutation_equivariance(self, inputs, with_negatives):
+        v, t, neg, temperature, perm = inputs
+        neg = neg if with_negatives else None
+        base = align_loss(v, t, temperature, negative_visual=neg)
+        res = align_loss(v[perm], t[perm], temperature, negative_visual=neg)
+        assert abs(res.loss - base.loss) <= 1e-12
+        np.testing.assert_allclose(res.grad_visual, base.grad_visual[perm], rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(res.grad_text, base.grad_text[perm], rtol=1e-9, atol=1e-11)
+        if with_negatives:
+            np.testing.assert_allclose(res.grad_negative, base.grad_negative,
+                                       rtol=1e-9, atol=1e-11)
+
+
+@st.composite
+def manifests(draw):
+    """Manifests of distinct sample ids spread over up to four datasets."""
+    datasets = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=40))
+    return SamplerManifest(
+        samples=tuple((f"s{i}", ds) for i, ds in enumerate(datasets)),
+        batch_size=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestSamplerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(manifests())
+    def test_pure(self, manifest):
+        again = SamplerManifest(samples=tuple(manifest.samples), batch_size=manifest.batch_size,
+                                seed=manifest.seed)
+        assert sample_batches(manifest) == sample_batches(again)
+
+    @settings(max_examples=200, deadline=None)
+    @given(manifests())
+    def test_complete_and_dataset_pure(self, manifest):
+        dataset_of = dict(manifest.samples)
+        batches = sample_batches(manifest)
+        seen = sorted(s for b in batches for s in b.sample_ids)
+        assert seen == sorted(dataset_of)
+        for b in batches:
+            assert 1 <= len(b.sample_ids) <= manifest.batch_size
+            assert {dataset_of[s] for s in b.sample_ids} == {b.dataset_id}
+        # One short batch at most per dataset: ceil(n / batch_size) batches each.
+        for ds in set(dataset_of.values()):
+            n = sum(1 for d in dataset_of.values() if d == ds)
+            assert sum(b.dataset_id == ds for b in batches) == -(-n // manifest.batch_size)

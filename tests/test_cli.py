@@ -341,6 +341,110 @@ class TestVerify:
         assert "no effect" in " ".join(capsys.readouterr().out.split())
 
 
+class TestSeedRange:
+    """Seeds outside [0, 2**64) exit 1 with one line naming the seed."""
+
+    MESSAGE = "error: seed must lie in [0, 2**64), got {}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gradcheck_flag(self, capsys, seed):
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "l1", "--seed", seed)
+        assert (code, out, err) == (1, "", self.MESSAGE.format(seed))
+
+    def test_gradcheck_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROMPTKIT_SEED", "-1")
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "l1")
+        assert (code, out, err) == (1, "", self.MESSAGE.format(-1))
+
+    def test_non_integer_environment_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROMPTKIT_SEED", "abc")
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "l1")
+        assert (code, out, err) == (1, "", "error: PROMPTKIT_SEED must be an integer, got 'abc'\n")
+
+    def test_fuse_demo_config(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": -1}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out, err) == (1, "", self.MESSAGE.format(-1))
+
+    def test_sample_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": -3,
+                                        "samples": [{"id": "s0", "dataset": "d0"}]}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out, err) == (1, "", self.MESSAGE.format(-3))
+
+    def test_largest_seed_still_runs(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 2**64 - 1,
+                                        "samples": [{"id": "s0", "dataset": "d0"}]}))
+        code, out, _ = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out) == (0, '{"dataset": "d0", "samples": ["s0"]}\n')
+
+
+class TestFuseDemoPromptCounts:
+    @pytest.mark.parametrize("key", ["text_prompts", "visual_prompts"])
+    def test_negative_count_names_its_key(self, tmp_path, capsys, key):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, key: -2}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out, err) == (1, "", f"error: {key} must be >= 0, got -2\n")
+
+    def test_zero_counts_stay_valid(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 1,
+                                      "text_prompts": 0, "visual_prompts": 0}))
+        code, out, _ = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["token_counts"] == {"features": 32, "text": 0, "visual": 0}
+
+
+class TestVerifyUnreadableFiles:
+    """A file that cannot be read or converted is that file's error: the
+    other images are still verified and the run exits 1."""
+
+    def run_with_bad_entry(self, tmp_path, capsys, make_bad):
+        dir_a = tmp_path / "a"
+        dir_b = tmp_path / "b"
+        dir_a.mkdir()
+        dir_b.mkdir()
+        for a, b in make_annotation_fixture(2, seed=12):
+            (dir_a / f"{a.image_id}.json").write_text(a.to_json())
+            (dir_b / f"{b.image_id}.json").write_text(b.to_json())
+        make_bad(dir_a / "x.json")
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback")
+        payload = json.loads(out)
+        assert code == 1
+        assert len(payload["errors"]) == 1
+        assert payload["errors"][0].startswith(f"{dir_a / 'x.json'}: ")
+        assert payload["aggregate"]["images"] == 2
+        assert err == f"error: {payload['errors'][0]}\n"
+
+    @staticmethod
+    def annotation_text(width="8", box="[0.1, 0.1, 0.5, 0.5]", score="0.5"):
+        return ('{"image_id": "x", "width": %s, "height": 8, "source": "top_down", '
+                '"instances": [{"box": %s, "tag": "a", "score": %s}]}' % (width, box, score))
+
+    @pytest.mark.parametrize("fields", [
+        {"box": f"[0, 0, {10**400}, 1]"}, {"score": str(10**400)}, {"width": "1e400"},
+    ], ids=["huge-coordinate", "huge-score", "infinite-width"])
+    def test_oversized_number(self, tmp_path, capsys, fields):
+        self.run_with_bad_entry(
+            tmp_path, capsys, lambda path: path.write_text(self.annotation_text(**fields)))
+
+    def test_nesting_too_deep_to_parse(self, tmp_path, capsys):
+        self.run_with_bad_entry(
+            tmp_path, capsys, lambda path: path.write_text("[" * 100_000 + "]" * 100_000))
+
+    def test_directory_named_like_a_file(self, tmp_path, capsys):
+        self.run_with_bad_entry(tmp_path, capsys, lambda path: path.mkdir())
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        self.run_with_bad_entry(
+            tmp_path, capsys, lambda path: path.write_bytes(b'{"image_id": "\xff"}'))
+
+
 class TestParser:
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

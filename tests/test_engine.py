@@ -402,6 +402,39 @@ class TestLoadErrors:
             np.testing.assert_array_equal(row, orig.box)
 
 
+class TestNonStringTags:
+    @pytest.mark.parametrize("tag", [5, [1], {"a": 1}, True, 2.5])
+    def test_rejected_at_load(self, tmp_path, tag):
+        exc = load_error(tmp_path, [GOOD, {**GOOD, "tag": tag}])
+        assert str(exc) == f"instance tag must be a string, got {tag!r}"
+
+    def test_first_bad_instance_in_file_order_wins(self, tmp_path):
+        exc = load_error(tmp_path, [GOOD, {**GOOD, "tag": 5}, {**GOOD, "score": 1.5}])
+        assert str(exc) == "instance tag must be a string, got 5"
+        exc = load_error(tmp_path, [{**GOOD, "score": 1.5}, {**GOOD, "tag": 5}])
+        assert str(exc) == "instance score must lie in [0, 1], got 1.5"
+
+    def test_constructor_checks_come_first(self, tmp_path):
+        exc = load_error(tmp_path, [{**GOOD, "tag": 5, "score": 1.5}])
+        assert str(exc) == "instance score must lie in [0, 1], got 1.5"
+        exc = load_error(tmp_path, [{**GOOD, "tag": 0}])
+        assert str(exc) == "instance tag must be nonempty"
+
+    def test_constructor_stays_permissive(self):
+        assert Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 0.5, "top_down").tag == 7
+
+    def test_hash_fallback_run_records_the_file(self, tmp_path):
+        dir_a, dir_b = write_fixture_dirs(tmp_path, make_annotation_fixture(2, seed=24))
+        bad = {"image_id": "bad", "width": 8, "height": 8, "source": "bottom_up",
+               "instances": [{**GOOD, "tag": 5}]}
+        (dir_b / "bad.json").write_text(json.dumps(bad))
+        (dir_a / "bad.json").write_text(json.dumps({**bad, "source": "top_down",
+                                                    "instances": [GOOD]}))
+        result = batch_verify(dir_a, dir_b, HashEmbeddings(dim=16))
+        assert result.errors == (f"{dir_b / 'bad.json'}: instance tag must be a string, got 5",)
+        assert len(result.reports) == 2
+
+
 def retained_json(a, b, emb, gate, threshold):
     verified, _ = cross_verify(a, b, emb, iou_gate=gate, sim_threshold=threshold)
     return [json.dumps(inst.to_dict(), sort_keys=True) for inst in verified.instances]

@@ -205,6 +205,31 @@ def test_match_and_total_loss_equals_scalar_reconstruction(seed, n_preds, n_targ
     assert abs(breakdown.total - sum(expected.values())) <= 1e-12
 
 
+@st.composite
+def ordered_box_matrices(draw):
+    """``box_matrices`` with each box's corners sorted, x1 <= x2 and
+    y1 <= y2: the contract ``match_and_total_loss`` enforces.  Zero-width,
+    zero-height and point boxes stay common."""
+    a, b = draw(box_matrices())
+    return tuple(np.concatenate([np.minimum(m[:, :2], m[:, 2:]), np.maximum(m[:, :2], m[:, 2:])],
+                                axis=1) for m in (a, b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ordered_box_matrices())
+def test_ordered_boxes_bound_iou_and_giou_loss(boxes):
+    a, b = boxes
+    overlaps = pairwise_iou(a, b)
+    losses = pairwise_giou_loss(a, b)
+    assert np.all((overlaps >= 0.0) & (overlaps <= 1.0))
+    assert np.all((losses >= 0.0) & (losses <= 2.0))
+
+
+def test_disjoint_points_reach_the_giou_bound():
+    assert pairwise_giou_loss([[0.1, 0.1, 0.1, 0.1]], [[0.5, 0.5, 0.5, 0.5]])[0, 0] == 2.0
+    assert giou_loss([0.1, 0.1, 0.1, 0.1], [0.5, 0.5, 0.5, 0.5])[0] == 2.0
+
+
 # Valid and invalid coordinates alike: out of range, non-finite, and
 # grid values that make inverted and degenerate boxes common.
 CHECKED_COORD = st.one_of(

@@ -427,6 +427,41 @@ class TestMatchAndTotalLoss:
             match_and_total_loss([pred], [target], stage="warmup")
 
 
+class TestMatchBoxContract:
+    """``match_and_total_loss`` takes ordered boxes only: an inverted box
+    has a positive area and no overlap, so its GIoU loss is unbounded."""
+
+    def pair(self, pred_box, target_box):
+        embed = unit([1.0, 0.5, 0.25])
+        return Prediction(box=np.asarray(pred_box), embed=embed), \
+            Target(box=np.asarray(target_box), embed=embed)
+
+    def test_inverted_prediction_raises(self):
+        good, target = self.pair([0.1, 0.1, 0.5, 0.5], [0.45, 0.45, 0.46, 0.46])
+        bad, _ = self.pair([0.5, 0.5, 0.4, 0.4], [0.45, 0.45, 0.46, 0.46])
+        with pytest.raises(ValueError) as excinfo:
+            match_and_total_loss([good, bad], [target])
+        assert str(excinfo.value) == ("pred box 1 must satisfy x1 <= x2 and y1 <= y2, "
+                                      "got [0.5, 0.5, 0.4, 0.4]")
+
+    @pytest.mark.parametrize("box", [[0.5, 0.1, 0.4, 0.6], [0.1, 0.5, 0.6, 0.4]],
+                             ids=["x-inverted", "y-inverted"])
+    def test_inverted_target_raises(self, box):
+        pred, target = self.pair([0.1, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, 0.5])
+        _, bad = self.pair(box, box)
+        with pytest.raises(ValueError) as excinfo:
+            match_and_total_loss([pred], [target, target, bad])
+        assert str(excinfo.value) == f"target box 2 must satisfy x1 <= x2 and y1 <= y2, got {box}"
+
+    def test_degenerate_boxes_accepted(self):
+        pred, target = self.pair([0.3, 0.3, 0.3, 0.6], [0.2, 0.4, 0.7, 0.4])
+        breakdown, matches, _ = match_and_total_loss([pred], [target])
+        assert matches == [(0, 0)]
+        # Two zero-area boxes that are not identical: GIoU loss exactly 2.
+        w = MatchWeights()
+        assert breakdown.bbox == w.l1 * l1_box_loss(pred.box, target.box)[0] + w.giou * 2.0
+
+
 class TestValidateBox:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from promptkit.numeric import (
     bilinear_sample,
     compare_grads,
     finite_diff_grad,
+    log_softmax_rows,
     seeded_rng,
     softmax_rows,
 )
@@ -158,3 +162,36 @@ class TestCompareGrads:
         rep = compare_grads([1.0], [1.0 + 1e-6])
         assert rep.passed(1e-4)
         assert not rep.passed(1e-8)
+
+
+@st.composite
+def logits_and_row_shifts(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 8)))
+    logits = draw(arrays(np.float64, shape, elements=st.floats(-100.0, 100.0)))
+    shifts = draw(arrays(np.float64, (shape[0], 1), elements=st.floats(-100.0, 100.0)))
+    return logits, shifts
+
+
+class TestRowShiftInvariance:
+    """Adding a constant to a row changes neither its softmax nor its
+    log-softmax.  In floating point, each shifted logit is rounded once
+    (by at most half an ulp of 200, about 1.4e-14) and the max subtraction
+    rounds again, so the max-shifted logits move by at most about 6e-14.
+    Through exp and the normalising sum that is a relative change of
+    about 1.2e-13 in softmax and an absolute one of about 1.4e-13 in
+    log-softmax; the tolerances of 1e-12 leave a margin of seven or more.
+    Logits and shifts lie in [-100, 100], so no probability underflows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits_and_row_shifts())
+    def test_softmax_rows(self, case):
+        logits, shifts = case
+        np.testing.assert_allclose(softmax_rows(logits + shifts), softmax_rows(logits),
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits_and_row_shifts())
+    def test_log_softmax_rows(self, case):
+        logits, shifts = case
+        np.testing.assert_allclose(log_softmax_rows(logits + shifts), log_softmax_rows(logits),
+                                   rtol=0.0, atol=1e-12)
