@@ -121,7 +121,7 @@ def _cmd_fuse_demo(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     dim = _config_count(cfg, "dim", None, 1)
-    seed = int(cfg.get("seed", _default_seed()))
+    seed = int(cfg["seed"]) if "seed" in cfg else _default_seed()
     layers = _config_count(cfg, "layers", 3, 0)
     state = fusion.FusionState.seeded(
         dim=dim,
@@ -134,7 +134,7 @@ def _cmd_fuse_demo(args) -> int:
     state, layer_stats = fusion.run_layers(state, (
         fusion.FusionParams.seeded(
             dim=dim,
-            seed=seed + 1 + layer_idx,
+            seed=(seed + 1 + layer_idx) % 2**64,
             d_k=cfg.get("d_k"),
             hidden=cfg.get("hidden"),
             scale=float(cfg.get("scale", 0.2)),
@@ -153,10 +153,7 @@ def _cmd_fuse_demo(args) -> int:
 def _cmd_sample(args) -> int:
     manifest = SamplerManifest.from_file(args.manifest)
     for batch in sample_batches(manifest):
-        print(json.dumps(
-            {"dataset": batch.dataset_id, "samples": list(batch.sample_ids)},
-            sort_keys=True,
-        ))
+        _emit({"dataset": batch.dataset_id, "samples": list(batch.sample_ids)})
     return 0
 
 
@@ -252,7 +249,7 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except engine.BAD_INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

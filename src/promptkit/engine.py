@@ -43,6 +43,9 @@ DEFAULT_SIM_THRESHOLD = 0.6
 
 HISTOGRAM_EDGES = [round(-1.0 + 0.1 * i, 1) for i in range(21)]
 
+# What a bad input raises when it is read, parsed or converted, as opposed to a bug.
+BAD_INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -309,10 +312,8 @@ def cross_verify(
 
     sims_before: list[float] = []
     if gated:
-        tags = dict.fromkeys(inst.tag for side in zip(*gated) for inst in side)
-        vectors = {tag: emb.embed(tag) for tag in tags}
-        sims_before = np.diag(cosine_matrix([vectors[ia.tag] for ia, _ in gated],
-                                            [vectors[ib.tag] for _, ib in gated])).tolist()
+        sims_before = np.diag(cosine_matrix([emb.embed(ia.tag) for ia, _ in gated],
+                                            [emb.embed(ib.tag) for _, ib in gated])).tolist()
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]
@@ -349,7 +350,7 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
     for path in sorted(Path(directory).glob("*.json")):
         try:
             ann = AnnotationSet.from_file(path)
-        except (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError) as exc:
+        except BAD_INPUT_ERRORS as exc:
             errors.append(f"{path}: {exc}")
             continue
         if ann.image_id in sets:
@@ -415,7 +416,6 @@ def batch_verify(
     iou_gate: float = DEFAULT_IOU_GATE,
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
     out_dir=None,
-    jobs: int = 1,
 ) -> BatchVerifyResult:
     """Cross-verify every image_id present in both directories.
 
@@ -425,7 +425,7 @@ def batch_verify(
     file per image is written as ``<image_id>.json``; an image_id that
     would write outside it raises before any write.  Each file is written
     atomically (``write_text_atomic``).  ``emb.embed`` is called once per
-    distinct tag.  ``jobs`` has no effect.
+    distinct tag.
     """
     sets_a, errors_a = _load_dir(dir_a)
     sets_b, errors_b = _load_dir(dir_b)

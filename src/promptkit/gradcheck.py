@@ -147,10 +147,12 @@ def build_scenario(loss: str, n: int, seed: int):
     """
     if loss not in _SCENARIOS:
         raise ValueError(f"unknown loss {loss!r}; expected one of {GRADCHECK_LOSSES}")
-    for attempt in range(100):
-        p0, f, analytic = _SCENARIOS[loss](n, seed + _RESEED_STRIDE * attempt)
+    attempt_seed = seed  # unwrapped, so that seeded_rng rejects one outside [0, 2**64)
+    for _ in range(100):
+        p0, f, analytic = _SCENARIOS[loss](n, attempt_seed)
         if np.min(np.abs(analytic)) >= _MIN_GRAD_COORD:
             return p0, f, analytic
+        attempt_seed = (attempt_seed + _RESEED_STRIDE) % 2**64
     raise RuntimeError(f"no measurable {loss} scenario found for seed {seed}")
 
 

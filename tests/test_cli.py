@@ -8,7 +8,7 @@ import pytest
 
 import promptkit
 from oracles import make_annotation_fixture
-from promptkit import engine, fusion
+from promptkit import engine, fusion, gradcheck
 from promptkit.cli import SOFT_TAU_MAX_N, build_parser, main
 
 
@@ -20,6 +20,11 @@ def run_cli(capsys, *argv):
 
 def write_scores(path, values):
     path.write_text("".join(f"{v}\n" for v in values))
+
+
+def deeply_nested(depth=100_000):
+    """JSON nested deeper than the parser's recursion limit."""
+    return "[" * depth + "]" * depth
 
 
 class TestTau:
@@ -80,6 +85,18 @@ class TestSelect:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"text": [%d], "visual": [1]}' % 10**400,
+        '{"text": %s, "visual": [1]}' % deeply_nested(),
+    ], ids=["huge-score", "nesting-too-deep"])
+    def test_unconvertible_scores_give_one_line_error(self, tmp_path, capsys, text):
+        scores = tmp_path / "scores.json"
+        scores.write_text(text)
+        code, out, err = run_cli(capsys, "select", "--scores", str(scores), "--k", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGradcheck:
     def test_passing_run(self, capsys):
@@ -132,8 +149,18 @@ class TestFuseDemo:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("override", [{"layers": -2}, {"d_k": 0}, {"hidden": 0}],
-                             ids=["negative-layers", "zero-d_k", "zero-hidden"])
+    def test_config_seed_ignores_environment(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 4, "seed": 3, "layers": 1}))
+        expected = run_cli(capsys, "fuse-demo", "--config", str(config))
+        monkeypatch.setenv("PROMPTKIT_SEED", "abc")
+        assert run_cli(capsys, "fuse-demo", "--config", str(config)) == expected
+        assert expected[0] == 0
+
+    # json.dumps writes inf as Infinity, which json.load reads as inf, as it does 1e400.
+    @pytest.mark.parametrize("override", [{"layers": -2}, {"d_k": 0}, {"hidden": 0},
+                                          {"layers": float("inf")}],
+                             ids=["negative-layers", "zero-d_k", "zero-hidden", "infinite-layers"])
     def test_bad_size_gives_one_line_error(self, tmp_path, capsys, override):
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 8, "seed": 3, **override}))
@@ -204,6 +231,17 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
         assert code == 1
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"batch_size": 1e400, "seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}',
+        '{"batch_size": 2, "seed": 9, "samples": %s}' % deeply_nested(50_000),
+    ], ids=["infinite-batch-size", "nesting-too-deep"])
+    def test_unconvertible_manifest_gives_one_line_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -296,6 +334,15 @@ class TestVerify:
         # Identical stored vectors: every gate survivor is retained.
         assert payload["aggregate"]["mean_similarity_after"] in (0.0, 1.0)
 
+    def test_embedding_file_nested_too_deep_gives_one_line_error(self, tmp_path, capsys):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"a": %s}' % deeply_nested(50_000))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--emb", str(emb))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("image_id", ["../escape", "sub/inner", "/abs/path"])
     def test_image_id_outside_out_dir_is_rejected_before_writing(self, tmp_path, capsys,
                                                                  image_id):
@@ -381,6 +428,28 @@ class TestSeedRange:
         code, out, _ = run_cli(capsys, "sample", "--manifest", str(manifest))
         assert (code, out) == (0, '{"dataset": "d0", "samples": ["s0"]}\n')
 
+    def test_gradcheck_reseeds_below_2_64(self, capsys, monkeypatch):
+        real = gradcheck._SCENARIOS["l1"]
+        seeds = []
+
+        def first_unmeasurable(n, seed):
+            seeds.append(seed)
+            p0, f, analytic = real(n, seed)
+            return p0, f, analytic if len(seeds) > 1 else 0.0 * analytic
+
+        monkeypatch.setitem(gradcheck._SCENARIOS, "l1", first_unmeasurable)
+        code, _, err = run_cli(capsys, "gradcheck", "--loss", "l1", "--seed", str(2**64 - 1))
+        assert (code, err) == (0, "")
+        assert seeds == [2**64 - 1, gradcheck._RESEED_STRIDE - 1]
+
+    def test_largest_seed_still_runs_fuse_demo(self, tmp_path, capsys):
+        # Its layers are seeded with seed + 1, seed + 2, ..., taken modulo 2**64.
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 4, "seed": 2**64 - 1, "layers": 2}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["background_activation"]) == 2
+
 
 class TestFuseDemoPromptCounts:
     @pytest.mark.parametrize("key", ["text_prompts", "visual_prompts"])
@@ -420,6 +489,7 @@ class TestVerifyUnreadableFiles:
         assert payload["errors"][0].startswith(f"{dir_a / 'x.json'}: ")
         assert payload["aggregate"]["images"] == 2
         assert err == f"error: {payload['errors'][0]}\n"
+        return payload["errors"][0]
 
     @staticmethod
     def annotation_text(width="8", box="[0.1, 0.1, 0.5, 0.5]", score="0.5"):
@@ -443,6 +513,11 @@ class TestVerifyUnreadableFiles:
     def test_non_utf8_file(self, tmp_path, capsys):
         self.run_with_bad_entry(
             tmp_path, capsys, lambda path: path.write_bytes(b'{"image_id": "\xff"}'))
+
+    def test_unknown_source_without_instances(self, tmp_path, capsys):
+        error = self.run_with_bad_entry(tmp_path, capsys, lambda path: path.write_text(json.dumps(
+            {"image_id": "x", "width": 8, "height": 8, "source": "sideways", "instances": []})))
+        assert error.endswith(f"source must be one of {engine.SOURCES}, got 'sideways'")
 
 
 class TestParser:

@@ -221,13 +221,6 @@ class TestBatchVerify:
         assert any("broken.json" in err for err in result.errors)
         assert len(result.reports) == 2
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        pairs = make_annotation_fixture(6, seed=11)
-        dir_a, dir_b = write_fixture_dirs(tmp_path, pairs)
-        serial = batch_verify(dir_a, dir_b, HashEmbeddings(dim=16), jobs=1)
-        parallel = batch_verify(dir_a, dir_b, HashEmbeddings(dim=16), jobs=4)
-        assert [v.to_json() for v in serial.verified] == [v.to_json() for v in parallel.verified]
-
 
 class TestRetentionStats:
     def test_summary_fields(self):
