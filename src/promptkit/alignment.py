@@ -171,6 +171,8 @@ class SamplerManifest:
         try:
             samples = tuple((str(s["id"]), str(s["dataset"])) for s in obj["samples"])
             return cls(samples=samples, batch_size=int(obj["batch_size"]), seed=int(obj["seed"]))
+        except KeyError as exc:
+            raise ValueError(f'malformed manifest: no "{exc.args[0]}" key') from exc
         except TypeError as exc:
             raise ValueError(f"malformed manifest: {exc}") from exc
 

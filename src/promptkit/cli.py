@@ -43,6 +43,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _required(obj, key: str, where: str):
+    """``obj[key]``; a missing key raises a ``KeyError`` that names it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise KeyError(f'{where} has no "{key}" key') from None
+
+
 def _read_scores(path) -> list[float]:
     values = []
     with open(path) as fh:
@@ -76,8 +84,9 @@ def _cmd_tau(args) -> int:
 def _cmd_select(args) -> int:
     with open(args.scores) as fh:
         scores = json.load(fh)
-    text = np.asarray(scores["text"], dtype=np.float64)
-    visual = np.asarray(scores["visual"], dtype=np.float64)
+    where = f"scores file {args.scores}"
+    text = np.asarray(_required(scores, "text", where), dtype=np.float64)
+    visual = np.asarray(_required(scores, "visual", where), dtype=np.float64)
     idx = select_queries(text, visual, args.k, alpha=args.alpha)
     combined = args.alpha * text + (1.0 - args.alpha) * visual
     _emit({
@@ -111,7 +120,7 @@ def _cmd_gradcheck(args) -> int:
 def _config_count(cfg: dict, key: str, default, least: int) -> int:
     """``cfg[key]`` (or ``default`` when given and the key is absent) as an
     int; a value below ``least`` raises an error naming the key."""
-    value = int(cfg[key] if default is None else cfg.get(key, default))
+    value = int(_required(cfg, key, "config") if default is None else cfg.get(key, default))
     if value < least:
         raise ValueError(f"{key} must be >= {least}, got {value}")
     return value
@@ -250,7 +259,9 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         return args.func(args)
     except engine.BAD_INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument: print the argument.
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

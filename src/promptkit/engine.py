@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import hungarian, pairwise_iou, validate_box, validate_boxes
-from .numeric import cosine_matrix
+from .numeric import cosine_rows
 
 SOURCES = ("top_down", "bottom_up")
 
@@ -312,8 +312,8 @@ def cross_verify(
 
     sims_before: list[float] = []
     if gated:
-        sims_before = np.diag(cosine_matrix([emb.embed(ia.tag) for ia, _ in gated],
-                                            [emb.embed(ib.tag) for _, ib in gated])).tolist()
+        sims_before = cosine_rows([emb.embed(ia.tag) for ia, _ in gated],
+                                  [emb.embed(ib.tag) for _, ib in gated]).tolist()
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]

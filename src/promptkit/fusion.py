@@ -32,10 +32,11 @@ PATHWAYS = {
 PATHWAY_ORDER = ("text", "visual", "features")
 
 
-def _attention(q, keys, values, d_k: int):
-    """Scaled dot-product softmax attention: ``(output, weights)``."""
-    weights = softmax_rows((q @ keys.T) / np.sqrt(float(d_k)))
-    return weights @ values, weights
+def _gated_softmax(logits: np.ndarray, background_logits: np.ndarray):
+    """Row softmax over the key logits with the background logit appended
+    as one more column: ``(key weights, background weights)``."""
+    weights = softmax_rows(np.column_stack([logits, background_logits]))
+    return weights[:, :-1], weights[:, -1]
 
 
 def gated_attn(q, k, v, background, d_k: int):
@@ -56,8 +57,9 @@ def gated_attn(q, k, v, background, d_k: int):
         raise ValueError("gated attention requires at least one key row")
     if d_k <= 0:
         raise ValueError("d_k must be positive")
-    out, weights = _attention(q, np.vstack([k, b]), np.vstack([v, b]), d_k)
-    return out, weights[:, -1]
+    scale = np.sqrt(float(d_k))
+    weights, bg = _gated_softmax((q @ k.T) / scale, (q @ b) / scale)
+    return weights @ v + np.outer(bg, b), bg
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,12 @@ class FfnWeights:
         return cls(np.zeros((dim, hidden)), np.zeros(hidden), np.zeros((hidden, dim)), np.zeros(dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
+        h = x @ self.w1
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
+        out = h @ self.w2
+        out += self.b2
+        return out
 
 
 @dataclass(frozen=True)
@@ -216,6 +223,27 @@ class FusionState:
         )
 
 
+def _token_attention(xq: np.ndarray, xkv: np.ndarray, w: AttnWeights, d_k: int,
+                     background: np.ndarray | None = None):
+    """Attention of the tokens ``xq`` over the tokens ``xkv`` through the
+    projections ``w``: ``(update after wo, background weights or None)``.
+
+    Every product is one matrix chain from the raw tokens and weights,
+    and ``multi_dot`` evaluates it in the cheapest order for the shapes:
+    few queries against many keys never project the keys, and many
+    queries against few keys never project the queries.  A background
+    vector, when given, is one more raw key and value row.
+    """
+    wq = w.wq / np.sqrt(float(d_k))
+    logits = np.linalg.multi_dot([xq, wq, w.wk.T, xkv.T])
+    if background is None:
+        return np.linalg.multi_dot([softmax_rows(logits), xkv, w.wv, w.wo]), None
+    weights, bg = _gated_softmax(logits, np.linalg.multi_dot([xq, wq, background]))
+    update = np.linalg.multi_dot([weights, xkv, w.wv, w.wo])
+    update += np.outer(bg, background @ w.wo)
+    return update, bg
+
+
 def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
     """Self- then cross-attention of one layer: the streams after it, and
     the mean/max background attention mass of each pathway that ran."""
@@ -226,8 +254,9 @@ def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
     for name in STREAMS:
         x = getattr(state, name)
         if x.shape[0]:
-            w = params.self_attn[name]
-            x = x + _attention(x @ w.wq, x @ w.wk, x @ w.wv, params.d_k)[0] @ w.wo
+            update, _ = _token_attention(x, x, params.self_attn[name], params.d_k)
+            update += x
+            x = update
         snapshot[name] = x
     streams = dict(snapshot)
     stats = {}
@@ -237,15 +266,10 @@ def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
         kv_tokens = snapshot[kv_name]
         if q_tokens.shape[0] == 0 or kv_tokens.shape[0] == 0:
             continue
-        w = params.cross_attn[pathway]
-        out, bg = gated_attn(
-            q_tokens @ w.wq,
-            kv_tokens @ w.wk,
-            kv_tokens @ w.wv,
-            params.background_for(pathway),
-            params.d_k,
-        )
-        streams[pathway] = q_tokens + out @ w.wo
+        update, bg = _token_attention(q_tokens, kv_tokens, params.cross_attn[pathway],
+                                      params.d_k, params.background_for(pathway))
+        update += q_tokens
+        streams[pathway] = update
         stats[pathway] = {"mean": float(bg.mean()), "max": float(bg.max())}
     return streams, stats
 

@@ -1,9 +1,10 @@
 """Dense small-tensor numerics shared by every other module.
 
 Provides numerically stable row softmax and log-softmax, a pairwise
-cosine matrix, bilinear sampling on feature grids, seeded RNG
-construction, and a central finite-difference engine that serves as
-the gradient oracle for all analytic loss gradients in this package.
+cosine matrix and its row-wise diagonal, bilinear sampling on feature
+grids, seeded RNG construction, and a central finite-difference engine
+that serves as the gradient oracle for all analytic loss gradients in
+this package.
 Everything here operates on float64 and is a pure function of its inputs.
 """
 
@@ -61,9 +62,12 @@ def softmax_rows(m) -> np.ndarray:
     overflow.  Raises on empty or non-finite input.
     """
     a = as_float_matrix(m, "softmax input")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # One fresh array, exponentiated and normalised in place; ``a`` is
+    # never written.
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def log_softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -82,6 +86,20 @@ def cosine_matrix(a, b) -> np.ndarray:
     # identical nonzero row gives exactly 1 (a matrix product may not).
     norms = np.sqrt(np.outer(np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)))
     cos = np.divide(np.einsum("ik,jk->ij", x, y), norms, out=np.zeros_like(norms), where=norms > 0)
+    return np.clip(cos, -1.0, 1.0)
+
+
+def cosine_rows(a, b) -> np.ndarray:
+    """Cosine similarity of row i of ``a`` with row i of ``b``, both (n, d):
+    the diagonal of ``cosine_matrix(a, b)``, bit for bit, without the
+    n * n products off it."""
+    x = as_float_matrix(a, "first embedding matrix")
+    y = as_float_matrix(b, "second embedding matrix")
+    if x.shape != y.shape:
+        raise ValueError(f"row-wise cosine needs equal shapes, got {x.shape} and {y.shape}")
+    # The same summation routine as cosine_matrix, one row pair at a time.
+    norms = np.sqrt(np.einsum("ik,ik->i", x, x) * np.einsum("ik,ik->i", y, y))
+    cos = np.divide(np.einsum("ik,ik->i", x, y), norms, out=np.zeros_like(norms), where=norms > 0)
     return np.clip(cos, -1.0, 1.0)
 
 

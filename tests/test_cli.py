@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,14 @@ class TestSelect:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("present, missing", [("visual", "text"), ("text", "visual")])
+    def test_missing_key_is_named(self, tmp_path, capsys, present, missing):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({present: [1]}))
+        code, out, err = run_cli(capsys, "select", "--scores", str(scores), "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == f'error: scores file {scores} has no "{missing}" key\n'
+
     @pytest.mark.parametrize("text", [
         '{"text": [%d], "visual": [1]}' % 10**400,
         '{"text": %s, "visual": [1]}' % deeply_nested(),
@@ -149,6 +158,12 @@ class TestFuseDemo:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_missing_dim_is_named(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"seed": 3}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out, err) == (1, "", 'error: config has no "dim" key\n')
+
     def test_config_seed_ignores_environment(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 4, "seed": 3, "layers": 1}))
@@ -194,19 +209,21 @@ class TestFuseDemo:
     @pytest.mark.parametrize("layers", [1, 3])
     def test_one_attention_pass_per_layer(self, tmp_path, capsys, monkeypatch, layers):
         calls = []
-        real = fusion.gated_attn
+        real = fusion._token_attention
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fusion, "gated_attn", counting)
+        monkeypatch.setattr(fusion, "_token_attention", counting)
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": layers}))
         code, out, _ = run_cli(capsys, "fuse-demo", "--config", str(config))
         assert code == 0
         assert len(json.loads(out)["background_activation"]) == layers
-        assert len(calls) == 3 * layers
+        # Per layer: self-attention on each of the three streams, then the
+        # three cross-attention pathways.
+        assert len(calls) == 6 * layers
 
 
 class TestSample:
@@ -232,6 +249,17 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("manifest_obj, key", [
+        ({"batch_size": 2, "seed": 9}, "samples"),
+        ({"seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}, "batch_size"),
+        ({"batch_size": 2, "seed": 9, "samples": [{"id": "s0"}]}, "dataset"),
+    ], ids=["samples", "batch_size", "dataset"])
+    def test_missing_key_is_named(self, tmp_path, capsys, manifest_obj, key):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(manifest_obj))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out, err) == (1, "", f'error: malformed manifest: no "{key}" key\n')
 
     @pytest.mark.parametrize("text", [
         '{"batch_size": 1e400, "seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}',
@@ -333,6 +361,15 @@ class TestVerify:
         payload = json.loads(out)
         # Identical stored vectors: every gate survivor is retained.
         assert payload["aggregate"]["mean_similarity_after"] in (0.0, 1.0)
+
+    def test_unknown_tag_message_is_printed_without_quotes(self, tmp_path, capsys):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"unused": [1.0, 0.0]}))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--emb", str(emb), "--iou-gate", "0")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: unknown tag 'tag\d\d' and hash fallback is disabled\n", err)
 
     def test_embedding_file_nested_too_deep_gives_one_line_error(self, tmp_path, capsys):
         dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))

@@ -32,7 +32,13 @@ from promptkit.losses import (
     validate_box,
     validate_boxes,
 )
-from promptkit.numeric import cosine_matrix, log_softmax_rows, seeded_rng, softmax_rows
+from promptkit.numeric import (
+    cosine_matrix,
+    cosine_rows,
+    log_softmax_rows,
+    seeded_rng,
+    softmax_rows,
+)
 
 KERNELS = [
     (pairwise_iou, iou),
@@ -149,6 +155,35 @@ class TestCosineMatrix:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             cosine_matrix(np.ones((2, 3)), np.ones((2, 4)))
+
+
+@st.composite
+def embedding_row_pairs(draw):
+    """(n, d) pairs of rows: dyadic or free-float entries, the rows of ``x``
+    scaled by 1e-60 to 1e60 (the product of two squared norms stays a
+    normal float64), some rows zero and some rows of ``y`` equal to the
+    same row of ``x``."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    elements = st.one_of(EMBED, st.floats(-1.0, 1.0, allow_nan=False))
+    scale = 10.0 ** draw(st.integers(-60, 60))
+    x = scale * draw(arrays(np.float64, (n, d), elements=elements))
+    y = draw(arrays(np.float64, (n, d), elements=elements))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        y[i] = x[i]
+    return x, y
+
+
+class TestCosineRows:
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_row_pairs())
+    def test_is_the_diagonal_of_cosine_matrix_bit_for_bit(self, pair):
+        x, y = pair
+        want = np.diag(cosine_matrix(x, y))
+        assert np.array_equal(cosine_rows(x, y).view(np.int64), want.view(np.int64))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            cosine_rows(np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestLogSoftmaxRows:

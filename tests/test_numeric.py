@@ -50,6 +50,18 @@ class TestSoftmaxRows:
             softmax_rows([[1.0, np.nan]])
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                  elements=st.floats(-1000.0, 1000.0)))
+    def test_in_place_steps_leave_input_and_bits_unchanged(self, logits):
+        before = logits.copy()
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected = e / e.sum(axis=1, keepdims=True)
+        out = softmax_rows(logits)
+        assert np.array_equal(logits.view(np.int64), before.view(np.int64))
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 class TestBilinearSample:
     def test_exact_on_grid_nodes(self):
         rng = seeded_rng(1)
