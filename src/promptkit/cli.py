@@ -26,8 +26,10 @@ from .ranking import kendall_tau, order_loss, select_queries
 
 SEED_ENV_VAR = "PROMPTKIT_SEED"
 
-# Largest input for which ``tau`` also reports the O(N^2) tanh surrogate
-# (about 3 s at this size); the exact O(N log N) tau has no limit.
+# Largest input for which ``tau`` also reports the tanh surrogate (about
+# 3 s at this size on continuous scores, where it costs O(N^2); scores
+# with few distinct values cost far less); the exact O(N log N) tau has
+# no limit.
 SOFT_TAU_MAX_N = 20_000
 
 
@@ -48,7 +50,7 @@ def _required(obj, key: str, where: str):
     try:
         return obj[key]
     except KeyError:
-        raise KeyError(f'{where} has no "{key}" key') from None
+        raise KeyError(engine.missing_key_message(where, key)) from None
 
 
 def _read_scores(path) -> list[float]:

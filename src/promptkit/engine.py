@@ -47,6 +47,11 @@ HISTOGRAM_EDGES = [round(-1.0 + 0.1 * i, 1) for i in range(21)]
 BAD_INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError)
 
 
+def missing_key_message(where, key) -> str:
+    """The one wording of a required ``key`` missing from ``where``."""
+    return f'{where} has no "{key}" key'
+
+
 @dataclass(frozen=True)
 class Instance:
     """One annotated object: box, tag, confidence, producing pipeline."""
@@ -350,6 +355,10 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
     for path in sorted(Path(directory).glob("*.json")):
         try:
             ann = AnnotationSet.from_file(path)
+        except KeyError as exc:
+            # The loader reads keys unchecked: the argument is the missing key.
+            errors.append(missing_key_message(path, exc.args[0]))
+            continue
         except BAD_INPUT_ERRORS as exc:
             errors.append(f"{path}: {exc}")
             continue

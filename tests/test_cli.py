@@ -398,6 +398,22 @@ class TestVerify:
         assert image_id in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("key", ["source", "instances", "tag"])
+    def test_missing_annotation_key_is_named(self, tmp_path, capsys, key):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=8))
+        doc = {"image_id": "bad", "width": 8, "height": 8, "source": "top_down",
+               "instances": [{"box": [0.1, 0.1, 0.5, 0.5], "tag": "a", "score": 0.9}]}
+        doc.pop(key, None)
+        doc.get("instances", [{}])[0].pop(key, None)
+        bad = dir_a / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback")
+        message = f'{bad} has no "{key}" key'
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert json.loads(out)["errors"] == [message]
+
     @pytest.mark.parametrize("missing", ["a", "b"])
     def test_missing_directory_gives_exit_one(self, tmp_path, capsys, missing):
         dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=6))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_kendall, top_k_by_sum
+from promptkit import ranking
 from promptkit.gradcheck import run_gradcheck
 from promptkit.numeric import seeded_rng
 from promptkit.ranking import (
@@ -220,6 +223,108 @@ class TestOrderLoss:
                        - order_loss(t - h * du, v - h * dw).loss) / (2 * h)
             analytic = float(grad @ u)
             assert abs(numeric - analytic) <= 1e-4 * max(abs(analytic), 1e-8)
+
+
+def assert_matches_dense(t, v):
+    """order_loss against the full N x N tanh matrices, at 1e-12 absolute."""
+    dt = np.tanh(t[:, None] - t[None, :])
+    dv = np.tanh(v[:, None] - v[None, :])
+    pairs = t.size * (t.size - 1) / 2.0
+    res = order_loss(t, v)
+    assert abs(res.loss - (-(dt * dv).sum() / (2.0 * pairs))) <= 1e-12
+    np.testing.assert_allclose(res.grad_text, -((1 - dt * dt) * dv).sum(axis=1) / pairs,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.grad_visual, -((1 - dv * dv) * dt).sum(axis=1) / pairs,
+                               rtol=0, atol=1e-12)
+
+
+def tau_ties_scores(n, seed):
+    """Scores shaped like the tau benchmark's files: correlated N(0, 1)
+    draws written with 2 decimals."""
+    rng = seeded_rng(seed)
+    x = rng.standard_normal(n)
+    y = 0.6 * x + 0.8 * rng.standard_normal(n)
+    return np.round(x, 2), np.round(y, 2)
+
+
+@st.composite
+def score_side(draw, n):
+    """One side's n scores: integers, N(0, s) rounded to 1 or 2
+    decimals, or continuous N(0, s)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["integers", "1 decimal", "2 decimals", "continuous"]))
+    if kind == "integers":
+        return rng.integers(0, draw(st.integers(1, 12)), size=n).astype(float)
+    x = rng.standard_normal(n) * draw(st.sampled_from([0.3, 1.0, 3.0]))
+    return x if kind == "continuous" else np.round(x, 1 if kind == "1 decimal" else 2)
+
+
+class TestOrderLossForms:
+    """The table form and the tiled pair loop, on both sides of the cost rule."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        table_sums = ranking._table_sums
+
+        def spy(row_values, row_index, col_values, col_index):
+            calls.append((row_values.size, col_values.size))
+            return table_sums(row_values, row_index, col_values, col_index)
+
+        monkeypatch.setattr(ranking, "_table_sums", spy)
+        return calls
+
+    # Sizes up to 600 put tie-heavy draws on the table side of the rule and
+    # continuous ones on the tiled side; mixed draws land on either.
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(2, 70), st.integers(150, 600)))
+    def test_matches_dense_reference_property(self, data, n):
+        assert_matches_dense(data.draw(score_side(n), label="text"),
+                             data.draw(score_side(n), label="visual"))
+
+    @pytest.mark.parametrize("n", [200, 400, 600])
+    def test_property_sizes_reach_both_forms(self, table_calls, n):
+        rng = seeded_rng(210 + n)
+        order_loss(rng.integers(0, 12, size=n).astype(float), np.round(rng.standard_normal(n), 1))
+        assert len(table_calls) == 1
+        order_loss(rng.standard_normal(n), rng.standard_normal(n))
+        assert len(table_calls) == 1
+
+    def test_tau_ties_input_takes_the_table(self, table_calls):
+        t, v = tau_ties_scores(4000, 211)
+        res = order_loss(t, v)
+        assert len(table_calls) == 1
+        assert np.isfinite(res.loss)
+
+    def test_continuous_scores_take_the_tiled_loop(self, table_calls):
+        rng = seeded_rng(212)
+        order_loss(rng.standard_normal(2000), rng.standard_normal(2000))
+        assert run_gradcheck("order", 16, 7).max_rel_err < 1e-4
+        assert table_calls == []
+
+    def test_side_with_more_values_plays_the_row_role(self, table_calls):
+        rng = seeded_rng(213)
+        few = rng.integers(0, 5, size=500).astype(float)
+        many = np.round(rng.standard_normal(500), 2)
+        assert_matches_dense(few, many)
+        assert_matches_dense(many, few)
+        k_many = np.unique(many).size
+        assert table_calls == [(k_many, 5), (k_many, 5)]
+
+    def test_table_form_fits_in_tiles(self):
+        # One call's peak allocation on a tau-benchmark-sized input.  The
+        # tiled loop peaks at about 1.2 MiB; a table form with whole T, V or
+        # Kt x Kv matrices would need several MiB.
+        rng = seeded_rng(214)
+        t = np.round(rng.standard_normal(4000), 2)
+        v = np.round(rng.standard_normal(4000), 2)
+        tracemalloc.start()
+        try:
+            order_loss(t, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 class TestSoftTauConvergence:
