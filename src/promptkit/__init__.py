@@ -67,6 +67,7 @@ from .numeric import (
     finite_diff_grad,
     seeded_rng,
     softmax_rows,
+    unit_rows,
 )
 from .prompts import (
     ConstantEmbeddings,

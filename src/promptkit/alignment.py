@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import log_softmax_rows, seeded_rng
+from .numeric import as_int, log_softmax_rows, seeded_rng, unit_rows
 from .prompts import PromptEmbedding
 
 DEFAULT_TEMPERATURE = 0.07
@@ -50,8 +50,7 @@ class AlignBatch:
         for name, arr in (("visual", v), ("text", t)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} embeddings contain non-finite entries")
-            norms = np.linalg.norm(arr, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
+            if not np.allclose(unit_rows(arr, f"a {name} embedding"), arr, atol=1e-6):
                 raise ValueError(f"{name} embeddings must be unit-normalized")
         object.__setattr__(self, "visual", v)
         object.__setattr__(self, "text", t)
@@ -136,11 +135,8 @@ def build_negative_prompts(batch: AlignBatch) -> dict[str, PromptEmbedding]:
         mask = np.array([c == cat for c in batch.categories])
         others = total - batch.visual[mask].sum(axis=0)
         count = int((~mask).sum())
-        mean = others / count
-        nrm = float(np.linalg.norm(mean))
-        if nrm == 0.0:
-            raise ValueError(f"negative prompt for category {cat!r} collapsed to zero")
-        out[cat] = PromptEmbedding(vec=mean / nrm, kind="visual", category=cat)
+        vec = unit_rows(others / count, f"negative prompt for category {cat!r}")
+        out[cat] = PromptEmbedding(vec=vec, kind="visual", category=cat)
     return out
 
 
@@ -170,7 +166,8 @@ class SamplerManifest:
     def from_dict(cls, obj: dict) -> "SamplerManifest":
         try:
             samples = tuple((str(s["id"]), str(s["dataset"])) for s in obj["samples"])
-            return cls(samples=samples, batch_size=int(obj["batch_size"]), seed=int(obj["seed"]))
+            return cls(samples=samples, batch_size=as_int(obj["batch_size"], "batch_size"),
+                       seed=as_int(obj["seed"], "seed"))
         except KeyError as exc:
             raise ValueError(f'malformed manifest: no "{exc.args[0]}" key') from exc
         except TypeError as exc:

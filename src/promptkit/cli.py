@@ -21,7 +21,8 @@ import numpy as np
 from . import engine, fusion
 from .alignment import SamplerManifest, sample_batches
 from .gradcheck import GRADCHECK_LOSSES, run_gradcheck
-from .prompts import FileEmbeddings, HashEmbeddings
+from .numeric import DEFAULT_FD_EPS, as_int
+from .prompts import DEFAULT_DIM, FileEmbeddings, HashEmbeddings
 from .ranking import kendall_tau, order_loss, select_queries
 
 SEED_ENV_VAR = "PROMPTKIT_SEED"
@@ -121,8 +122,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _config_count(cfg: dict, key: str, default, least: int) -> int:
     """``cfg[key]`` (or ``default`` when given and the key is absent) as an
-    int; a value below ``least`` raises an error naming the key."""
-    value = int(_required(cfg, key, "config") if default is None else cfg.get(key, default))
+    int; a value that is not a JSON integer or lies below ``least`` raises
+    an error naming the key."""
+    value = as_int(_required(cfg, key, "config") if default is None else cfg.get(key, default), key)
     if value < least:
         raise ValueError(f"{key} must be >= {least}, got {value}")
     return value
@@ -132,8 +134,14 @@ def _cmd_fuse_demo(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     dim = _config_count(cfg, "dim", None, 1)
-    seed = int(cfg["seed"]) if "seed" in cfg else _default_seed()
+    seed = as_int(cfg["seed"], "seed") if "seed" in cfg else _default_seed()
     layers = _config_count(cfg, "layers", 3, 0)
+    d_k = _config_count(cfg, "d_k", dim, 1)
+    hidden = _config_count(cfg, "hidden", 2 * dim, 1)
+    per_pathway_background = cfg.get("per_pathway_background", False)
+    if not isinstance(per_pathway_background, bool):
+        raise ValueError(f"per_pathway_background must be true or false, "
+                         f"got {per_pathway_background!r}")
     state = fusion.FusionState.seeded(
         dim=dim,
         # Without feature tokens every pathway is skipped and there is nothing to report.
@@ -146,10 +154,10 @@ def _cmd_fuse_demo(args) -> int:
         fusion.FusionParams.seeded(
             dim=dim,
             seed=(seed + 1 + layer_idx) % 2**64,
-            d_k=cfg.get("d_k"),
-            hidden=cfg.get("hidden"),
+            d_k=d_k,
+            hidden=hidden,
             scale=float(cfg.get("scale", 0.2)),
-            per_pathway_background=bool(cfg.get("per_pathway_background", False)),
+            per_pathway_background=per_pathway_background,
         )
         for layer_idx in range(layers)
     ))
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario size: score count (order), pair count (align/boxes), grid side (masks)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=DEFAULT_FD_EPS)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("fuse-demo", help="background-token activation statistics per pathway")
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb", default=None, help="tag embedding JSON file")
     p.add_argument("--hash-fallback", action="store_true",
                    help="hash-derived embeddings for unknown tags (or all tags without --emb)")
-    p.add_argument("--emb-dim", type=int, default=256,
+    p.add_argument("--emb-dim", type=int, default=DEFAULT_DIM,
                    help="dimension of hash-fallback embeddings when no file is given")
     p.add_argument("--iou-gate", type=float, default=engine.DEFAULT_IOU_GATE)
     p.add_argument("--sim-thresh", type=float, default=engine.DEFAULT_SIM_THRESHOLD)

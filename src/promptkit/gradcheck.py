@@ -17,7 +17,14 @@ import numpy as np
 
 from .alignment import align_loss
 from .losses import bce_mask_loss, dice_loss, giou_loss, l1_box_loss
-from .numeric import GradCheckReport, compare_grads, finite_diff_grad, seeded_rng
+from .numeric import (
+    DEFAULT_FD_EPS,
+    GradCheckReport,
+    compare_grads,
+    finite_diff_grad,
+    seeded_rng,
+    unit_rows,
+)
 from .ranking import order_loss
 
 ALIGN_DIM = 16
@@ -108,10 +115,8 @@ def _order_scenario(n: int, seed: int):
 def _align_scenario(n: int, seed: int):
     rng = seeded_rng(seed)
     k = max(2, n)
-    v = rng.standard_normal((k, ALIGN_DIM))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    t = rng.standard_normal((k, ALIGN_DIM))
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    v = unit_rows(rng.standard_normal((k, ALIGN_DIM)), "a visual row")
+    t = unit_rows(rng.standard_normal((k, ALIGN_DIM)), "a text row")
     p0 = np.concatenate([v.ravel(), t.ravel()])
     split = k * ALIGN_DIM
 
@@ -156,7 +161,7 @@ def build_scenario(loss: str, n: int, seed: int):
     raise RuntimeError(f"no measurable {loss} scenario found for seed {seed}")
 
 
-def run_gradcheck(loss: str, n: int, seed: int, eps: float = 1e-5) -> GradCheckReport:
+def run_gradcheck(loss: str, n: int, seed: int, eps: float = DEFAULT_FD_EPS) -> GradCheckReport:
     """Compare a loss's analytic gradient against central differences."""
     p0, f, analytic = build_scenario(loss, n, seed)
     numeric = finite_diff_grad(f, p0, eps=eps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import align_loss
+from .alignment import DEFAULT_TEMPERATURE, align_loss
 from .numeric import cosine_matrix
 from .ranking import order_loss
 
@@ -284,7 +284,8 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
             break
         v = relaxed
     tight = w + v[col_of][:, None] - v[None, :] <= tol
-    tight_rows = [np.flatnonzero(col).tolist() for col in tight.T]
+    # Column -> its tight rows, read only for columns a search reaches.
+    tight_rows: dict[int, list[int]] = {}
 
     col_of = col_of.tolist()
     for r in range(n_rows):
@@ -298,6 +299,8 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
         queue = deque([freed])
         while queue and lower[0] not in parent:
             g = queue.popleft()
+            if g not in tight_rows:
+                tight_rows[g] = np.flatnonzero(tight[:, g]).tolist()
             for i in tight_rows[g]:
                 if i > r and col_of[i] not in parent:
                     parent[col_of[i]] = (i, g)
@@ -370,7 +373,7 @@ def match_and_total_loss(
     align_text=None,
     text_scores=None,
     visual_scores=None,
-    temperature: float = 0.07,
+    temperature: float = DEFAULT_TEMPERATURE,
 ):
     """Hungarian-match predictions to targets and sum the objective.
 

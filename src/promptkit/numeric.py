@@ -1,10 +1,11 @@
 """Dense small-tensor numerics shared by every other module.
 
-Provides numerically stable row softmax and log-softmax, a pairwise
-cosine matrix and its row-wise diagonal, bilinear sampling on feature
-grids, seeded RNG construction, and a central finite-difference engine
-that serves as the gradient oracle for all analytic loss gradients in
-this package.
+Provides numerically stable row softmax and log-softmax, the one
+overflow-safe vector length (unit vectors, a pairwise cosine matrix and
+its row-wise diagonal), bilinear sampling on feature grids, seeded RNG
+construction, checked input coercion, and a central finite-difference
+engine that serves as the gradient oracle for all analytic loss
+gradients in this package.
 Everything here operates on float64 and is a pure function of its inputs.
 """
 
@@ -54,6 +55,17 @@ def as_float_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int when it is a JSON integer: an int, or a float
+    with no fractional part (JSON ``4.0``).  A bool, a string, any other
+    type and a fractional or non-finite number raise ``ValueError``
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability.
 
@@ -77,14 +89,46 @@ def log_softmax_rows(m: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _scaled_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each row (along the last axis) multiplied by the power of
+    two that brings its largest |entry| into [0.5, 1); a zero row stays zero.
+
+    Scaling by a power of two is exact, so quotients of scaled values are
+    those of the originals, and a scaled row's sum of squares lies in
+    [0.25, d]: it neither overflows nor underflows (Blue, ACM TOMS 1978).
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    return np.ldexp(x, -exponent)
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis; dot products use the same
+    einsum loop, so an identical nonzero row has cosine exactly 1."""
+    return np.einsum("...k,...k->...", x, x)
+
+
+def unit_rows(x, what: str) -> np.ndarray:
+    """``x`` divided by its Euclidean length along the last axis: a vector,
+    or each row of a matrix, as a unit vector.
+
+    Entries must be finite; any finite size is safe.  A zero row raises
+    ``ValueError("<what> is the zero vector")``.
+    """
+    s = _scaled_rows(np.asarray(x, dtype=np.float64))
+    lengths = np.sqrt(_sum_squares(s))[..., None]
+    if not np.all(lengths > 0.0):
+        raise ValueError(f"{what} is the zero vector")
+    s /= lengths
+    return s
+
+
 def cosine_matrix(a, b) -> np.ndarray:
     """Cosine similarity of every row of ``a`` (n, d) with every row of
-    ``b`` (m, d), in [-1, 1]; a zero row has similarity 0 with everything."""
-    x = as_float_matrix(a, "first embedding matrix")
-    y = as_float_matrix(b, "second embedding matrix")
-    # Dot products and squared norms share one summation routine, so an
-    # identical nonzero row gives exactly 1 (a matrix product may not).
-    norms = np.sqrt(np.outer(np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)))
+    ``b`` (m, d), in [-1, 1]; a zero row has similarity 0 with everything.
+    Rows are scaled as in ``unit_rows``, so any finite entries are safe."""
+    x = _scaled_rows(as_float_matrix(a, "first embedding matrix"))
+    y = _scaled_rows(as_float_matrix(b, "second embedding matrix"))
+    norms = np.sqrt(np.outer(_sum_squares(x), _sum_squares(y)))
     cos = np.divide(np.einsum("ik,jk->ij", x, y), norms, out=np.zeros_like(norms), where=norms > 0)
     return np.clip(cos, -1.0, 1.0)
 
@@ -97,8 +141,8 @@ def cosine_rows(a, b) -> np.ndarray:
     y = as_float_matrix(b, "second embedding matrix")
     if x.shape != y.shape:
         raise ValueError(f"row-wise cosine needs equal shapes, got {x.shape} and {y.shape}")
-    # The same summation routine as cosine_matrix, one row pair at a time.
-    norms = np.sqrt(np.einsum("ik,ik->i", x, x) * np.einsum("ik,ik->i", y, y))
+    x, y = _scaled_rows(x), _scaled_rows(y)
+    norms = np.sqrt(_sum_squares(x) * _sum_squares(y))
     cos = np.divide(np.einsum("ik,ik->i", x, y), norms, out=np.zeros_like(norms), where=norms > 0)
     return np.clip(cos, -1.0, 1.0)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import bilinear_sample, seeded_rng, softmax_rows
+from .numeric import bilinear_sample, seeded_rng, softmax_rows, unit_rows
 
 DEFAULT_DIM = 256
 
@@ -88,10 +88,8 @@ class PromptEmbedding:
 
 def normalize(p: PromptEmbedding) -> PromptEmbedding:
     """Return a copy scaled to unit L2 norm; rejects the zero vector."""
-    nrm = float(np.linalg.norm(p.vec))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a zero embedding")
-    return PromptEmbedding(vec=p.vec / nrm, kind=p.kind, category=p.category)
+    return PromptEmbedding(vec=unit_rows(p.vec, f"{p.kind} embedding"), kind=p.kind,
+                           category=p.category)
 
 
 @dataclass(frozen=True)
@@ -218,8 +216,8 @@ def _hash_unit_vector(tag: str, dim: int) -> np.ndarray:
     # from Python's salted hash().
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     seed = int.from_bytes(digest[:8], "little")
-    v = np.random.default_rng(seed).standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return unit_rows(np.random.default_rng(seed).standard_normal(dim),
+                     f"hash vector for tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -291,10 +289,7 @@ class FileEmbeddings:
             if self.fallback:
                 return _hash_unit_vector(tag, self.dim)
             raise KeyError(f"unknown tag {tag!r} and hash fallback is disabled")
-        nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0:
-            raise ValueError(f"stored embedding for tag {tag!r} is the zero vector")
-        return vec / nrm
+        return unit_rows(vec, f"stored embedding for tag {tag!r}")
 
 
 def provide_text_embedding(tag: str, provider) -> PromptEmbedding:

@@ -196,6 +196,31 @@ class TestFuseDemo:
         assert out == ""
         assert err == f"error: {key} must be >= 1, got {next(iter(override.values()))}\n"
 
+    @pytest.mark.parametrize("override, key", [
+        ({"dim": 4.9}, "dim"), ({"dim": True}, "dim"), ({"dim": "8"}, "dim"),
+        ({"layers": 1.5}, "layers"), ({"hidden": 3.7}, "hidden"), ({"d_k": 2.5}, "d_k"),
+        ({"feature_tokens": "5"}, "feature_tokens"), ({"text_prompts": False}, "text_prompts"),
+        ({"seed": 1.7}, "seed"), ({"seed": "3"}, "seed"),
+        ({"per_pathway_background": "false"}, "per_pathway_background"),
+        ({"per_pathway_background": 0}, "per_pathway_background"),
+    ], ids=["fractional-dim", "bool-dim", "string-dim", "fractional-layers",
+            "fractional-hidden", "fractional-d_k", "string-features", "bool-text-prompts",
+            "fractional-seed", "string-seed", "string-flag", "integer-flag"])
+    def test_mistyped_value_names_its_key(self, tmp_path, capsys, override, key):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 1, **override}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+    def test_integral_float_is_an_integer(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 1}))
+        expected = run_cli(capsys, "fuse-demo", "--config", str(config))
+        config.write_text(json.dumps({"dim": 8.0, "seed": 3.0, "layers": 1.0}))
+        assert run_cli(capsys, "fuse-demo", "--config", str(config)) == expected
+        assert expected[0] == 0
+
     def test_zero_layers_reports_no_layer(self, tmp_path, capsys):
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 0, "feature_tokens": 5}))
@@ -260,6 +285,19 @@ class TestSample:
         manifest.write_text(json.dumps(manifest_obj))
         code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
         assert (code, out, err) == (1, "", f'error: malformed manifest: no "{key}" key\n')
+
+    @pytest.mark.parametrize("override, key", [
+        ({"batch_size": 2.9}, "batch_size"), ({"batch_size": True}, "batch_size"),
+        ({"batch_size": "2"}, "batch_size"), ({"seed": 1.7}, "seed"), ({"seed": "9"}, "seed"),
+    ], ids=["fractional-batch-size", "bool-batch-size", "string-batch-size",
+            "fractional-seed", "string-seed"])
+    def test_mistyped_integer_names_its_key(self, tmp_path, capsys, override, key):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 9, **override,
+                                        "samples": [{"id": "s0", "dataset": "d0"}]}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out) == (1, "")
+        assert err == f"error: {key} must be an integer, got {next(iter(override.values()))!r}\n"
 
     @pytest.mark.parametrize("text", [
         '{"batch_size": 1e400, "seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}',
@@ -362,14 +400,35 @@ class TestVerify:
         # Identical stored vectors: every gate survivor is retained.
         assert payload["aggregate"]["mean_similarity_after"] in (0.0, 1.0)
 
+    def test_huge_stored_vector_keeps_identical_tags(self, tmp_path, capsys):
+        # Squaring 1e160 overflows: the length must be taken from scaled entries.
+        instance = {"box": [0.1, 0.1, 0.5, 0.5], "tag": "cat", "score": 0.9}
+        for side, source in (("a", "top_down"), ("b", "bottom_up")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "img.json").write_text(json.dumps({
+                "image_id": "img", "width": 8, "height": 8, "source": source,
+                "instances": [instance]}))
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"cat": [1e160, 0.0]}))
+        code, out, err = run_cli(capsys, "verify", "--a", str(tmp_path / "a"),
+                                 "--b", str(tmp_path / "b"), "--emb", str(emb))
+        assert (code, err) == (0, "")
+        [image] = json.loads(out)["images"]
+        assert (image["retained"], image["mean_similarity_after"]) == (1, 1.0)
+
     def test_unknown_tag_message_is_printed_without_quotes(self, tmp_path, capsys):
+        # An unknown tag without --hash-fallback ends the whole run before
+        # anything is written.
         dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))
         emb = tmp_path / "emb.json"
         emb.write_text(json.dumps({"unused": [1.0, 0.0]}))
+        out_dir, report = tmp_path / "out", tmp_path / "report.json"
         code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
-                                 "--emb", str(emb), "--iou-gate", "0")
+                                 "--emb", str(emb), "--iou-gate", "0",
+                                 "--out", str(out_dir), "--report", str(report))
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: unknown tag 'tag\d\d' and hash fallback is disabled\n", err)
+        assert not out_dir.exists() and not report.exists()
 
     def test_embedding_file_nested_too_deep_gives_one_line_error(self, tmp_path, capsys):
         dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from hypothesis.extra.numpy import arrays
 from promptkit.numeric import (
     bilinear_sample,
     compare_grads,
+    cosine_matrix,
+    cosine_rows,
     finite_diff_grad,
     log_softmax_rows,
     seeded_rng,
     softmax_rows,
+    unit_rows,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "promptkit"
 
 
 class TestSoftmaxRows:
@@ -207,3 +213,70 @@ class TestRowShiftInvariance:
         logits, shifts = case
         np.testing.assert_allclose(log_softmax_rows(logits + shifts), log_softmax_rows(logits),
                                    rtol=0.0, atol=1e-12)
+
+
+class TestExtremeLengths:
+    """Finite entries of any size: each row is scaled by a power of two
+    before it is squared, so no square overflows or underflows to zero."""
+
+    def test_huge_rows_have_cosine_one(self):
+        assert cosine_rows([[1e160, 0.0]], [[1e160, 0.0]]).tolist() == [1.0]
+        for row in ([3e200, 4e200], [1e-200, 0.0]):
+            assert cosine_matrix([row], [row]).tolist() == [[1.0]]
+            assert cosine_rows([row], [row]).tolist() == [1.0]
+
+    @pytest.mark.parametrize("row, unit", [
+        ([1e160, 0.0], [1.0, 0.0]),
+        ([3e200, 4e200], [0.6, 0.8]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([0.0, -5e-324], [0.0, -1.0]),
+    ])
+    def test_unit_rows(self, row, unit):
+        np.testing.assert_allclose(unit_rows(row, "row"), unit, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(unit_rows([row, row], "row"), [unit, unit],
+                                   rtol=1e-15, atol=0.0)
+
+    def test_zero_row_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^the row is the zero vector$"):
+            unit_rows([[1.0, 2.0], [0.0, 0.0]], "the row")
+        with pytest.raises(ValueError, match="zero"):
+            unit_rows(np.zeros(3), "the row")
+
+
+# Dyadic entries at least 2**-10 in magnitude when nonzero: scaled by any
+# 2**k with |k| <= 900, every entry stays a normal float64.
+DYADIC = st.integers(-2**20, 2**20).map(lambda k: k / 1024.0)
+
+
+@st.composite
+def rows_and_powers(draw):
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    x = draw(arrays(np.float64, (n, d), elements=DYADIC))
+    y = draw(arrays(np.float64, (m, d), elements=DYADIC))
+    kx = draw(arrays(np.int64, (n, 1), elements=st.integers(-900, 900)))
+    ky = draw(arrays(np.int64, (m, 1), elements=st.integers(-900, 900)))
+    return x, y, kx, ky
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+class TestPowerOfTwoScaling:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_powers())
+    def test_scaling_rows_by_a_power_of_two_changes_no_bit(self, case):
+        x, y, kx, ky = case
+        sx, sy = np.ldexp(x, kx), np.ldexp(y, ky)
+        assert np.array_equal(_bits(cosine_matrix(sx, sy)), _bits(cosine_matrix(x, y)))
+        k = min(len(x), len(y))
+        assert np.array_equal(_bits(cosine_rows(sx[:k], sy[:k])), _bits(cosine_rows(x[:k], y[:k])))
+        nonzero = x.any(axis=1)
+        if nonzero.any():
+            assert np.array_equal(_bits(unit_rows(sx[nonzero], "row")),
+                                  _bits(unit_rows(x[nonzero], "row")))
+
+
+def test_numeric_is_the_only_module_that_computes_a_length():
+    users = [path.name for path in sorted(SRC.rglob("*.py")) if "linalg.norm" in path.read_text()]
+    assert users == []

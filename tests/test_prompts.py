@@ -218,6 +218,12 @@ class TestEmbeddingProviders:
         with pytest.raises(ValueError, match="zero"):
             provider.embed("cat")
 
+    @pytest.mark.parametrize("stored", [[1e160, 0.0], [1e-200, 0.0]])
+    def test_extreme_stored_vectors_embed_as_unit_vectors(self, tmp_path, stored):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps({"cat": stored}))
+        assert FileEmbeddings.from_file(path).embed("cat").tolist() == [1.0, 0.0]
+
     def test_constant_provider_identical_for_all_tags(self):
         provider = ConstantEmbeddings(dim=8)
         np.testing.assert_array_equal(provider.embed("a"), provider.embed("b"))
