@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import as_int, log_softmax_rows, seeded_rng, unit_rows
+from .numeric import as_finite, as_int, log_softmax_rows, seeded_rng, unit_rows
 from .prompts import PromptEmbedding
 
 DEFAULT_TEMPERATURE = 0.07
@@ -36,9 +36,9 @@ class AlignBatch:
     dataset_ids: tuple[str, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.visual, dtype=np.float64)
-        t = np.asarray(self.text, dtype=np.float64)
-        if v.ndim != 2 or t.ndim != 2 or v.shape != t.shape:
+        v = as_finite(self.visual, "visual embedding matrix", 2)
+        t = as_finite(self.text, "text embedding matrix", 2)
+        if v.shape != t.shape:
             raise ValueError(f"visual/text shapes must match, got {v.shape} vs {t.shape}")
         k = v.shape[0]
         if k < 1:
@@ -48,8 +48,6 @@ class AlignBatch:
         if any(not c for c in self.categories):
             raise ValueError("categories must be nonempty strings")
         for name, arr in (("visual", v), ("text", t)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} embeddings contain non-finite entries")
             if not np.allclose(unit_rows(arr, f"a {name} embedding"), arr, atol=1e-6):
                 raise ValueError(f"{name} embeddings must be unit-normalized")
         object.__setattr__(self, "visual", v)
@@ -159,13 +157,16 @@ class SamplerManifest:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         for sid, ds in self.samples:
+            for key, value in (("id", sid), ("dataset", ds)):
+                if not isinstance(value, str):
+                    raise ValueError(f'sample "{key}" must be a string, got {value!r}')
             if not ds:
                 raise ValueError(f"sample {sid!r} has an empty dataset id")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SamplerManifest":
         try:
-            samples = tuple((str(s["id"]), str(s["dataset"])) for s in obj["samples"])
+            samples = tuple((s["id"], s["dataset"]) for s in obj["samples"])
             return cls(samples=samples, batch_size=as_int(obj["batch_size"], "batch_size"),
                        seed=as_int(obj["seed"], "seed"))
         except KeyError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, fusion
 from .alignment import SamplerManifest, sample_batches
 from .gradcheck import GRADCHECK_LOSSES, run_gradcheck
-from .numeric import DEFAULT_FD_EPS, as_int
+from .numeric import DEFAULT_FD_EPS, as_finite, as_int
 from .prompts import DEFAULT_DIM, FileEmbeddings, HashEmbeddings
 from .ranking import kendall_tau, order_loss, select_queries
 
@@ -54,14 +54,14 @@ def _required(obj, key: str, where: str):
         raise KeyError(engine.missing_key_message(where, key)) from None
 
 
-def _read_scores(path) -> list[float]:
+def _read_scores(path) -> np.ndarray:
     values = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 values.append(float(line))
-    return values
+    return np.array(values)
 
 
 def _cmd_tau(args) -> int:
@@ -69,7 +69,7 @@ def _cmd_tau(args) -> int:
     b = _read_scores(args.b)
     res = kendall_tau(a, b)
     if res.n <= SOFT_TAU_MAX_N:
-        soft = -order_loss(np.asarray(a), np.asarray(b)).loss
+        soft = -order_loss(a, b).loss
     else:
         soft = None
         print(f"soft_tau skipped: {res.n} scores exceed the limit of {SOFT_TAU_MAX_N} "
@@ -88,8 +88,8 @@ def _cmd_select(args) -> int:
     with open(args.scores) as fh:
         scores = json.load(fh)
     where = f"scores file {args.scores}"
-    text = np.asarray(_required(scores, "text", where), dtype=np.float64)
-    visual = np.asarray(_required(scores, "visual", where), dtype=np.float64)
+    text = as_finite(_required(scores, "text", where), "text score list", 1)
+    visual = as_finite(_required(scores, "visual", where), "visual score list", 1)
     idx = select_queries(text, visual, args.k, alpha=args.alpha)
     combined = args.alpha * text + (1.0 - args.alpha) * visual
     _emit({
@@ -138,6 +138,7 @@ def _cmd_fuse_demo(args) -> int:
     layers = _config_count(cfg, "layers", 3, 0)
     d_k = _config_count(cfg, "d_k", dim, 1)
     hidden = _config_count(cfg, "hidden", 2 * dim, 1)
+    scale = float(as_finite(cfg.get("scale", 0.2), "scale", 0))
     per_pathway_background = cfg.get("per_pathway_background", False)
     if not isinstance(per_pathway_background, bool):
         raise ValueError(f"per_pathway_background must be true or false, "
@@ -156,7 +157,7 @@ def _cmd_fuse_demo(args) -> int:
             seed=(seed + 1 + layer_idx) % 2**64,
             d_k=d_k,
             hidden=hidden,
-            scale=float(cfg.get("scale", 0.2)),
+            scale=scale,
             per_pathway_background=per_pathway_background,
         )
         for layer_idx in range(layers)

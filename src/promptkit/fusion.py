@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .numeric import seeded_rng, softmax_rows
+from .numeric import as_finite, seeded_rng, softmax_rows
 
 STREAMS = ("features", "text", "visual")
 
@@ -129,16 +129,12 @@ class FusionParams:
     def __post_init__(self):
         if self.d_k <= 0:
             raise ValueError("d_k must be positive")
-        b = np.asarray(self.background_token, dtype=np.float64)
-        if not np.all(np.isfinite(b)):
-            raise ValueError("background token must be finite")
-        if b.ndim == 2:
-            if b.shape[0] != len(PATHWAY_ORDER):
-                raise ValueError(
-                    f"per-pathway background needs shape (3, d), got {b.shape}"
-                )
-        elif b.ndim != 1:
-            raise ValueError(f"shared background token must be 1-D, got {b.shape}")
+        per_pathway = np.ndim(self.background_token) == 2
+        kind = "per-pathway" if per_pathway else "shared"
+        b = as_finite(self.background_token, f"{kind} background token", 2 if per_pathway else 1)
+        if per_pathway and b.shape[0] != len(PATHWAY_ORDER):
+            raise ValueError(f"per-pathway background needs shape (3, d), got {b.shape}")
+        object.__setattr__(self, "background_token", b)
         for name in STREAMS:
             if name not in self.self_attn or name not in self.ffn:
                 raise ValueError(f"missing self-attention or FFN weights for stream {name!r}")
@@ -147,7 +143,7 @@ class FusionParams:
                 raise ValueError(f"missing cross-attention weights for pathway {name!r}")
 
     def background_for(self, pathway: str) -> np.ndarray:
-        b = np.asarray(self.background_token, dtype=np.float64)
+        b = self.background_token
         return b[PATHWAY_ORDER.index(pathway)] if b.ndim == 2 else b
 
     @classmethod
@@ -175,10 +171,9 @@ class FusionParams:
     @classmethod
     def zero_update(cls, dim: int, background=None, d_k: int | None = None) -> "FusionParams":
         """All projections zero: fusion_layer becomes the identity."""
-        b = np.zeros(dim) if background is None else np.asarray(background, dtype=np.float64)
         return cls(
             d_k=dim if d_k is None else d_k,
-            background_token=b,
+            background_token=np.zeros(dim) if background is None else background,
             self_attn={s: AttnWeights.zeros(dim) for s in STREAMS},
             cross_attn={p: AttnWeights.zeros(dim) for p in PATHWAY_ORDER},
             ffn={s: FfnWeights.zeros(dim, 2 * dim) for s in STREAMS},
@@ -196,11 +191,7 @@ class FusionState:
     def __post_init__(self):
         dims = set()
         for name in STREAMS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ValueError(f"{name} stream must be 2-D, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} stream contains non-finite entries")
+            arr = as_finite(getattr(self, name), f"{name} stream", 2)
             dims.add(arr.shape[1])
             object.__setattr__(self, name, arr)
         if len(dims) != 1:
@@ -247,7 +238,7 @@ def _token_attention(xq: np.ndarray, xkv: np.ndarray, w: AttnWeights, d_k: int,
 def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
     """Self- then cross-attention of one layer: the streams after it, and
     the mean/max background attention mass of each pathway that ran."""
-    b_dim = np.asarray(params.background_token).shape[-1]
+    b_dim = params.background_token.shape[-1]
     if b_dim != state.dim:
         raise ValueError(f"background token dim {b_dim} != state dim {state.dim}")
     snapshot = {}

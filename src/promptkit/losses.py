@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import DEFAULT_TEMPERATURE, align_loss
-from .numeric import cosine_matrix
+from .numeric import as_float_matrix, cosine_matrix
 from .ranking import order_loss
 
 # DETR-family matching-cost convention; the composite objective also
@@ -264,11 +264,7 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     keeps to tight edges, whose reduced cost is <= 1e-9 * max(1, |optimum|),
     so the total may exceed the optimum by up to max(rows, cols) times that.
     """
-    c = np.asarray(costs, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
-        raise ValueError(f"cost matrix must be nonempty 2-D, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost matrix contains non-finite entries")
+    c = as_float_matrix(costs, "cost matrix")
     n_rows, n_cols = c.shape
     n = max(n_rows, n_cols)
     sq = np.pad(c, ((0, n - n_rows), (0, n - n_cols)))

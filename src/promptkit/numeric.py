@@ -3,9 +3,9 @@
 Provides numerically stable row softmax and log-softmax, the one
 overflow-safe vector length (unit vectors, a pairwise cosine matrix and
 its row-wise diagonal), bilinear sampling on feature grids, seeded RNG
-construction, checked input coercion, and a central finite-difference
-engine that serves as the gradient oracle for all analytic loss
-gradients in this package.
+construction, the one check of input number arrays (``as_finite``),
+and a central finite-difference engine that serves as the gradient
+oracle for all analytic loss gradients in this package.
 Everything here operates on float64 and is a pure function of its inputs.
 """
 
@@ -33,25 +33,36 @@ def seeded_rng(seed: int) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}") from None
 
 
-def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, rejecting empty shapes."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError(f"{name} must be nonempty, got shape {a.shape}")
+def as_finite(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a float64 array of rank ``ndim`` whose entries are finite
+    ints and floats, never strings, booleans or other objects; each failure
+    raises one ``ValueError`` naming ``name``.  Float64 arrays are not copied."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array") from None
+    # numpy reads [1, True] as the integers [1, 1]; JSON arrays read here are flat.
+    mixed_bool = isinstance(x, list) and any(isinstance(e, bool) for e in x)
+    if a.dtype.kind not in "iuf" or mixed_bool:
+        for e in np.asarray(x, dtype=object).flat:
+            if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be numeric, got {e!r}")
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    try:
+        a = a.astype(np.float64, copy=False)
+    except OverflowError:  # a Python int beyond the float range
+        a = np.array(np.inf)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def as_float_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+def as_float_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``as_finite`` at rank 2, rejecting empty shapes."""
+    a = as_finite(m, name, 2)
+    if a.size == 0:
+        raise ValueError(f"{name} must be nonempty, got shape {a.shape}")
     return a
 
 
@@ -186,7 +197,7 @@ def finite_diff_grad(
     Raises if any evaluation of ``f`` is non-finite, naming the
     offending coordinate.
     """
-    p0 = as_float_vector(p, "parameter vector")
+    p0 = as_finite(p, "parameter vector", 1)
     if eps <= 0:
         raise ValueError("eps must be positive")
     grad = np.zeros_like(p0)
@@ -224,8 +235,8 @@ def compare_grads(analytic, numeric) -> GradCheckReport:
     REL_ERR_FLOOR) per coordinate; ``worst_index`` is the coordinate
     with the largest relative error.
     """
-    a = as_float_vector(analytic, "analytic gradient")
-    n = as_float_vector(numeric, "numeric gradient")
+    a = as_finite(analytic, "analytic gradient", 1)
+    n = as_finite(numeric, "numeric gradient", 1)
     if a.shape != n.shape:
         raise ValueError(f"gradient length mismatch: {a.shape[0]} vs {n.shape[0]}")
     if a.size == 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import bilinear_sample, seeded_rng, softmax_rows, unit_rows
+from .numeric import as_finite, bilinear_sample, seeded_rng, softmax_rows, unit_rows
 
 DEFAULT_DIM = 256
 
@@ -37,20 +37,21 @@ class FeatureMap:
     def __post_init__(self):
         if not 1 <= len(self.levels) <= 8:
             raise ValueError(f"feature map needs 1..8 levels, got {len(self.levels)}")
-        for i, lvl in enumerate(self.levels):
-            if lvl.ndim != 3 or lvl.shape[0] < 1 or lvl.shape[1] < 1:
-                raise ValueError(f"level {i} must be (h, w, d) and nonempty, got {lvl.shape}")
+        levels = tuple(as_finite(lvl, f"level {i}", 3) for i, lvl in enumerate(self.levels))
+        for i, lvl in enumerate(levels):
+            if lvl.shape[0] < 1 or lvl.shape[1] < 1:
+                raise ValueError(f"level {i} must be nonempty, got shape {lvl.shape}")
             if lvl.shape[2] != self.dim:
                 raise ValueError(f"level {i} has dim {lvl.shape[2]}, expected {self.dim}")
-            if not np.all(np.isfinite(lvl)):
-                raise ValueError(f"level {i} contains non-finite entries")
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def from_arrays(cls, arrays) -> "FeatureMap":
-        levels = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+        levels = tuple(arrays)
         if not levels:
             raise ValueError("feature map needs at least one level")
-        return cls(levels=levels, dim=int(levels[0].shape[2]))
+        first = as_finite(levels[0], "level 0", 3)
+        return cls(levels=(first, *levels[1:]), dim=first.shape[2])
 
     @classmethod
     def random(cls, shapes, dim: int, seed: int) -> "FeatureMap":
@@ -59,7 +60,7 @@ class FeatureMap:
 
     @classmethod
     def constant(cls, shapes, vector) -> "FeatureMap":
-        vec = np.asarray(vector, dtype=np.float64)
+        vec = np.asarray(vector)
         return cls.from_arrays([np.broadcast_to(vec, (h, w, vec.size)).copy() for h, w in shapes])
 
 
@@ -74,11 +75,9 @@ class PromptEmbedding:
     def __post_init__(self):
         if self.kind not in ("visual", "text"):
             raise ValueError(f"kind must be 'visual' or 'text', got {self.kind!r}")
-        v = np.asarray(self.vec, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"embedding vector must be nonempty 1-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("embedding vector contains non-finite entries")
+        v = as_finite(self.vec, f"{self.kind} embedding", 1)
+        if v.size == 0:
+            raise ValueError(f"{self.kind} embedding must be nonempty, got shape {v.shape}")
         object.__setattr__(self, "vec", v)
 
     @property
@@ -271,9 +270,9 @@ class FileEmbeddings:
         table = {}
         dim = None
         for tag, values in raw.items():
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
-                raise ValueError(f"embedding for tag {tag!r} must be a finite float array")
+            vec = as_finite(values, f"embedding for tag {tag!r}", 1)
+            if vec.size == 0:
+                raise ValueError(f"embedding for tag {tag!r} must be nonempty, got shape {vec.shape}")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import as_float_vector
+from .numeric import as_finite
 
 # order_loss tiles: 64 x 512 float64 blocks (256 KB each) stay in cache.
 _ROW_TILE = 64
@@ -55,8 +55,8 @@ class TauResult:
 
 
 def _score_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    x = as_float_vector(a, "first score list")
-    y = as_float_vector(b, "second score list")
+    x = as_finite(a, "first score list", 1)
+    y = as_finite(b, "second score list", 1)
     if x.size != y.size:
         raise ValueError(f"score length mismatch: {x.size} vs {y.size}")
     if x.size < 2:

@@ -107,6 +107,18 @@ class TestSelect:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("scores, message", [
+        ({"text": ["1", "2", "3"], "visual": [1, 2, 3]}, "text score list must be numeric, got '1'"),
+        ({"text": [1, 2, 3], "visual": [True, False, True]},
+         "visual score list must be numeric, got True"),
+    ], ids=["string-scores", "boolean-scores"])
+    def test_scores_must_be_json_numbers(self, tmp_path, capsys, scores, message):
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(scores))
+        code, out, err = run_cli(capsys, "select", "--scores", str(path), "--k", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestGradcheck:
     def test_passing_run(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--loss", "order",
@@ -221,6 +233,27 @@ class TestFuseDemo:
         assert run_cli(capsys, "fuse-demo", "--config", str(config)) == expected
         assert expected[0] == 0
 
+    @pytest.mark.parametrize("scale, message", [
+        ("0.5", "scale must be numeric, got '0.5'"), (True, "scale must be numeric, got True"),
+        (None, "scale must be numeric, got None"), ([0.5], "scale must be 0-D, got shape (1,)"),
+        (float("inf"), "scale contains non-finite entries"),
+    ], ids=["string", "bool", "null", "list", "infinite"])
+    def test_scale_must_be_a_json_number(self, tmp_path, capsys, scale, message):
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 1, "scale": scale}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("scale, same_as", [(1, 1.0), (None, 0.2)], ids=["integer", "absent"])
+    def test_scale_reads_as_its_float(self, tmp_path, capsys, scale, same_as):
+        config = tmp_path / "fuse.json"
+        base = {"dim": 8, "seed": 3, "layers": 2}
+        config.write_text(json.dumps({**base, "scale": same_as}))
+        expected = run_cli(capsys, "fuse-demo", "--config", str(config))
+        config.write_text(json.dumps(base if scale is None else {**base, "scale": scale}))
+        assert run_cli(capsys, "fuse-demo", "--config", str(config)) == expected
+        assert expected[0] == 0
+
     def test_zero_layers_reports_no_layer(self, tmp_path, capsys):
         config = tmp_path / "fuse.json"
         config.write_text(json.dumps({"dim": 8, "seed": 3, "layers": 0, "feature_tokens": 5}))
@@ -298,6 +331,17 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
         assert (code, out) == (1, "")
         assert err == f"error: {key} must be an integer, got {next(iter(override.values()))!r}\n"
+
+    @pytest.mark.parametrize("sample, key", [
+        ({"id": None, "dataset": "d0"}, "id"), ({"id": 1, "dataset": "d0"}, "id"),
+        ({"id": "s0", "dataset": False}, "dataset"),
+    ], ids=["null-id", "integer-id", "bool-dataset"])
+    def test_sample_names_must_be_strings(self, tmp_path, capsys, sample, key):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 9, "samples": [sample]}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out) == (1, "")
+        assert err == f'error: sample "{key}" must be a string, got {sample[key]!r}\n'
 
     @pytest.mark.parametrize("text", [
         '{"batch_size": 1e400, "seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}',
@@ -428,6 +472,17 @@ class TestVerify:
                                  "--out", str(out_dir), "--report", str(report))
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: unknown tag 'tag\d\d' and hash fallback is disabled\n", err)
+        assert not out_dir.exists() and not report.exists()
+
+    def test_embedding_values_must_be_json_numbers(self, tmp_path, capsys):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"x": ["1.5", "2"]}))
+        out_dir, report = tmp_path / "out", tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--emb", str(emb), "--hash-fallback",
+                                 "--out", str(out_dir), "--report", str(report))
+        assert (code, out, err) == (1, "", "error: embedding for tag 'x' must be numeric, got '1.5'\n")
         assert not out_dir.exists() and not report.exists()
 
     def test_embedding_file_nested_too_deep_gives_one_line_error(self, tmp_path, capsys):
