@@ -55,12 +55,27 @@ def _required(obj, key: str, where: str):
 
 
 def _read_scores(path) -> np.ndarray:
+    """One score per nonblank line, as Python ``float`` reads it, except that
+    underscores and non-ASCII digits are refused.  A line that is not a
+    number raises one ``ValueError`` naming the file and the 1-based line;
+    so does a line that is not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    # One test of the whole file: only a file holding "_" or a non-ASCII
+    # character has lines that float() reads but a score file must not.
+    suspect = "_" in text or not text.isascii()
     values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            if suspect and ("_" in line or not line.isascii()):
+                raise ValueError
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"score file {path}, line {number}: "
+                             f"{line!r} is not a number") from None
     return np.array(values)
 
 
@@ -182,7 +197,7 @@ def _make_provider(args):
         return FileEmbeddings.from_file(args.emb, fallback=args.hash_fallback)
     if args.hash_fallback:
         return HashEmbeddings(dim=args.emb_dim)
-    raise SystemExit("verify needs --emb FILE or --hash-fallback")
+    raise ValueError("verify needs --emb FILE or --hash-fallback")
 
 
 def _cmd_verify(args) -> int:

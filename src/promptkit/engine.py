@@ -27,14 +27,15 @@ import os
 import secrets
 import stat
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import repeat
+from functools import cache, cached_property
+from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .losses import hungarian, pairwise_iou, validate_box, validate_boxes
-from .numeric import cosine_rows
+from .numeric import PLAIN_NUMBER_TYPES, as_int, check_number, check_numbers, cosine_rows
 
 SOURCES = ("top_down", "bottom_up")
 
@@ -130,10 +131,13 @@ class AnnotationSet:
     def from_dict(cls, obj: dict) -> "AnnotationSet":
         source = obj["source"]
         boxes, instances = _instance_rows(list(obj["instances"]), source)
+        image_id = obj["image_id"]
+        if not isinstance(image_id, str):
+            raise ValueError(f"image_id must be a string, got {image_id!r}")
         ann = cls(
-            image_id=str(obj["image_id"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            image_id=image_id,
+            width=as_int(obj["width"], "width"),
+            height=as_int(obj["height"], "height"),
             source=source,
             instances=instances,
         )
@@ -170,20 +174,21 @@ class AnnotationSet:
 
 def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...]]:
     """The instances of a file's ``items`` as rows of one (n, 4) box array,
-    each check ``Instance`` makes done once over the whole column."""
+    each check ``_checked_instance`` makes done once over the whole column."""
     try:
-        boxes = validate_boxes(np.array([item["box"] for item in items], dtype=np.float64)
-                               if items else np.empty((0, 4)))
+        coords = [item["box"] for item in items]
+        boxes = validate_boxes(np.array(coords, dtype=np.float64) if items else np.empty((0, 4)))
         tags = [item["tag"] for item in items]
-        scores = [float(item["score"]) for item in items]
+        scores = [item["score"] for item in items]
         similarities = [item.get("similarity") for item in items]
         alias_tags = [item.get("alias_tag") for item in items]
         valid = (source in SOURCES and all(isinstance(tag, str) and tag for tag in tags)
+                 and set(map(type, chain(chain.from_iterable(coords), scores))) <= PLAIN_NUMBER_TYPES
                  and all(0.0 <= score <= 1.0 for score in scores))
     except Exception:  # the walk below raises it again, for the right instance
         valid = False
     if valid:
-        return boxes, tuple(map(Instance._row, boxes, tags, scores, repeat(source),
+        return boxes, tuple(map(Instance._row, boxes, tags, map(float, scores), repeat(source),
                                 similarities, alias_tags))
     # Some instance is invalid: build them one at a time, so that the first
     # bad one in file order raises its own message.
@@ -192,12 +197,17 @@ def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...
 
 
 def _checked_instance(item: dict, source) -> Instance:
-    """``item`` as an ``Instance``, with a string tag: the constructor
-    itself accepts any nonempty tag."""
+    """``item`` as an ``Instance``, with JSON numbers for its box and score
+    and a string tag: the constructor itself converts any box and score it
+    can and accepts any nonempty tag.  The types are checked first, then
+    the constructor's rules in its order, then the tag's type."""
+    box, tag, score = item["box"], item["tag"], item["score"]
+    check_numbers(box, f"box of tag {tag!r}")
+    check_number(score, "instance score")
     inst = Instance(
-        box=np.asarray(item["box"], dtype=np.float64),
-        tag=item["tag"],
-        score=float(item["score"]),
+        box=np.asarray(box, dtype=np.float64),
+        tag=tag,
+        score=float(score),
         source=source,
         similarity=item.get("similarity"),
         alias_tag=item.get("alias_tag"),
@@ -283,6 +293,15 @@ class VerificationReport:
                 if name not in ("similarities_before", "similarities_after")}
 
 
+def _check_thresholds(iou_gate: float, sim_threshold: float) -> None:
+    """Raise ``ValueError`` unless ``iou_gate`` lies in [0, 1] and
+    ``sim_threshold`` in [-1, 1]; NaN lies in neither."""
+    if not 0.0 <= iou_gate <= 1.0:
+        raise ValueError(f"iou_gate must lie in [0, 1], got {iou_gate}")
+    if not -1.0 <= sim_threshold <= 1.0:
+        raise ValueError(f"sim_threshold must lie in [-1, 1], got {sim_threshold}")
+
+
 def cross_verify(
     a: AnnotationSet,
     b: AnnotationSet,
@@ -303,10 +322,7 @@ def cross_verify(
         raise ValueError(f"image_id mismatch: {a.image_id!r} vs {b.image_id!r}")
     if a.source != "top_down" or b.source != "bottom_up":
         raise ValueError("cross_verify expects (top_down, bottom_up) in that order")
-    if not 0.0 <= iou_gate <= 1.0:
-        raise ValueError(f"iou_gate must lie in [0, 1], got {iou_gate}")
-    if not -1.0 <= sim_threshold <= 1.0:
-        raise ValueError(f"sim_threshold must lie in [-1, 1], got {sim_threshold}")
+    _check_thresholds(iou_gate, sim_threshold)
 
     assignment: dict[int, int] = {}
     if a.instances and b.instances:
@@ -369,20 +385,6 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
     return sets, errors
 
 
-class _EmbedOnce:
-    """An embedding provider that computes each tag's vector on first use
-    only: one ``embed`` call per distinct tag for the object's lifetime."""
-
-    def __init__(self, emb):
-        self._emb = emb
-        self._vectors: dict = {}
-
-    def embed(self, tag: str) -> np.ndarray:
-        if tag not in self._vectors:
-            self._vectors[tag] = self._emb.embed(tag)
-        return self._vectors[tag]
-
-
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
     directory and ``os.replace``, so that ``path`` holds either its old
@@ -426,7 +428,9 @@ def batch_verify(
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
     out_dir=None,
 ) -> BatchVerifyResult:
-    """Cross-verify every image_id present in both directories.
+    """Cross-verify every image_id present in both directories.  The
+    thresholds are checked, as ``cross_verify`` checks them, before any
+    file is read.
 
     Images present on only one side are reported as unpaired and
     produce no verified output.  Malformed files are recorded as errors
@@ -436,11 +440,12 @@ def batch_verify(
     atomically (``write_text_atomic``).  ``emb.embed`` is called once per
     distinct tag.
     """
+    _check_thresholds(iou_gate, sim_threshold)
     sets_a, errors_a = _load_dir(dir_a)
     sets_b, errors_b = _load_dir(dir_b)
     shared = sorted(set(sets_a) & set(sets_b))
     unpaired = sorted(set(sets_a) ^ set(sets_b))
-    emb = _EmbedOnce(emb)
+    emb = SimpleNamespace(embed=cache(emb.embed))
     results = [cross_verify(sets_a[image_id], sets_b[image_id], emb,
                             iou_gate=iou_gate, sim_threshold=sim_threshold)
                for image_id in shared]

@@ -32,20 +32,14 @@ PATHWAYS = {
 PATHWAY_ORDER = ("text", "visual", "features")
 
 
-def _gated_softmax(logits: np.ndarray, background_logits: np.ndarray):
-    """Row softmax over the key logits with the background logit appended
-    as one more column: ``(key weights, background weights)``."""
-    weights = softmax_rows(np.column_stack([logits, background_logits]))
-    return weights[:, :-1], weights[:, -1]
-
-
 def gated_attn(q, k, v, background, d_k: int):
     """Scaled dot-product attention with a background key/value row.
 
     The background vector is appended as one extra row to both keys and
     values; logits are scaled by 1/sqrt(d_k) and softmaxed per query
     row.  Returns ``(output, background_weight)`` where the second item
-    is the softmax mass each query assigned to the background row.
+    is the softmax mass each query assigned to the background row.  It
+    runs the fusion layers' kernel with identity projections.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -57,9 +51,8 @@ def gated_attn(q, k, v, background, d_k: int):
         raise ValueError("gated attention requires at least one key row")
     if d_k <= 0:
         raise ValueError("d_k must be positive")
-    scale = np.sqrt(float(d_k))
-    weights, bg = _gated_softmax((q @ k.T) / scale, (q @ b) / scale)
-    return weights @ v + np.outer(bg, b), bg
+    eye = np.eye(b.shape[-1])
+    return _token_attention(q, k, v, AttnWeights(eye, eye, eye, eye), d_k, b)
 
 
 @dataclass(frozen=True)
@@ -214,23 +207,26 @@ class FusionState:
         )
 
 
-def _token_attention(xq: np.ndarray, xkv: np.ndarray, w: AttnWeights, d_k: int,
+def _token_attention(xq: np.ndarray, xk: np.ndarray, xv: np.ndarray, w: AttnWeights, d_k: int,
                      background: np.ndarray | None = None):
-    """Attention of the tokens ``xq`` over the tokens ``xkv`` through the
-    projections ``w``: ``(update after wo, background weights or None)``.
+    """Attention of the tokens ``xq`` over the keys ``xk`` and values ``xv``
+    through the projections ``w``: ``(update after wo, background weights
+    or None)``.  Every attention in this module runs here.
 
     Every product is one matrix chain from the raw tokens and weights,
     and ``multi_dot`` evaluates it in the cheapest order for the shapes:
     few queries against many keys never project the keys, and many
     queries against few keys never project the queries.  A background
-    vector, when given, is one more raw key and value row.
+    vector, when given, is one more raw key and value row: its logit is
+    one more softmax column.
     """
     wq = w.wq / np.sqrt(float(d_k))
-    logits = np.linalg.multi_dot([xq, wq, w.wk.T, xkv.T])
+    logits = np.linalg.multi_dot([xq, wq, w.wk.T, xk.T])
     if background is None:
-        return np.linalg.multi_dot([softmax_rows(logits), xkv, w.wv, w.wo]), None
-    weights, bg = _gated_softmax(logits, np.linalg.multi_dot([xq, wq, background]))
-    update = np.linalg.multi_dot([weights, xkv, w.wv, w.wo])
+        return np.linalg.multi_dot([softmax_rows(logits), xv, w.wv, w.wo]), None
+    weights = softmax_rows(np.column_stack([logits, np.linalg.multi_dot([xq, wq, background])]))
+    bg = weights[:, -1]
+    update = np.linalg.multi_dot([weights[:, :-1], xv, w.wv, w.wo])
     update += np.outer(bg, background @ w.wo)
     return update, bg
 
@@ -245,7 +241,7 @@ def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
     for name in STREAMS:
         x = getattr(state, name)
         if x.shape[0]:
-            update, _ = _token_attention(x, x, params.self_attn[name], params.d_k)
+            update, _ = _token_attention(x, x, x, params.self_attn[name], params.d_k)
             update += x
             x = update
         snapshot[name] = x
@@ -257,7 +253,7 @@ def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
         kv_tokens = snapshot[kv_name]
         if q_tokens.shape[0] == 0 or kv_tokens.shape[0] == 0:
             continue
-        update, bg = _token_attention(q_tokens, kv_tokens, params.cross_attn[pathway],
+        update, bg = _token_attention(q_tokens, kv_tokens, kv_tokens, params.cross_attn[pathway],
                                       params.d_k, params.background_for(pathway))
         update += q_tokens
         streams[pathway] = update

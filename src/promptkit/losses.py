@@ -283,10 +283,13 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     # Column -> its tight rows, read only for columns a search reaches.
     tight_rows: dict[int, list[int]] = {}
 
-    col_of = col_of.tolist()
+    # The dummy columns of a tall matrix share one cost column, potential
+    # and set of tight rows: they are one search node, n_cols, which sorts
+    # after every real column.
+    col_of = np.minimum(col_of, n_cols).tolist()
     for r in range(n_rows):
         freed = col_of[r]
-        lower = np.flatnonzero(tight[r, :min(freed, n_cols)]).tolist()
+        lower = np.flatnonzero(tight[r, :freed]).tolist()
         if not lower:
             continue
         # Breadth-first search back from r's column over later rows: row i

@@ -33,20 +33,47 @@ def seeded_rng(seed: int) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}") from None
 
 
+# The types of a plain JSON number.  A bool is an int to isinstance, but its
+# type is bool, so a set lookup of ``type(e)`` never lets one through.
+PLAIN_NUMBER_TYPES = frozenset((int, float))
+
+
+def check_number(value, name: str) -> None:
+    """The one type rule for input numbers: ``value`` must be an int or a
+    float, never a string, a boolean or any other object.  A failure raises
+    ``ValueError("<name> must be numeric, got <value!r>")``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be numeric, got {value!r}")
+
+
+def check_numbers(x, name: str) -> None:
+    """``check_number`` on every entry of ``x``: Python lists and tuples are
+    walked to any depth, and an ndarray is judged by its dtype (its entries
+    are read only when the dtype is not an int or float one)."""
+    if isinstance(x, (list, tuple)):
+        for e in x:
+            if type(e) not in PLAIN_NUMBER_TYPES:
+                check_numbers(e, name)
+    elif isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iuf":
+            for e in x.astype(object).flat:
+                check_number(e, name)
+    else:
+        check_number(x, name)
+
+
 def as_finite(x, name: str, ndim: int) -> np.ndarray:
-    """``x`` as a float64 array of rank ``ndim`` whose entries are finite
-    ints and floats, never strings, booleans or other objects; each failure
-    raises one ``ValueError`` naming ``name``.  Float64 arrays are not copied."""
+    """``x`` as a float64 array of rank ``ndim`` whose entries pass
+    ``check_numbers`` and are finite; each failure raises one ``ValueError``
+    naming ``name``.  Float64 arrays are not copied."""
     try:
         a = np.asarray(x)
     except ValueError:
         raise ValueError(f"{name} must be a rectangular array") from None
-    # numpy reads [1, True] as the integers [1, 1]; JSON arrays read here are flat.
-    mixed_bool = isinstance(x, list) and any(isinstance(e, bool) for e in x)
-    if a.dtype.kind not in "iuf" or mixed_bool:
-        for e in np.asarray(x, dtype=object).flat:
-            if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be numeric, got {e!r}")
+    # numpy reads [1, True] as the integers [1, 1]: a Python list or tuple
+    # is walked whatever dtype it gave.
+    if a.dtype.kind not in "iuf" or isinstance(x, (list, tuple)):
+        check_numbers(x, name)
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
     try:

@@ -9,7 +9,7 @@ import pytest
 
 import promptkit
 from oracles import make_annotation_fixture
-from promptkit import engine, fusion, gradcheck
+from promptkit import cli, engine, fusion, gradcheck
 from promptkit.cli import SOFT_TAU_MAX_N, build_parser, main
 
 
@@ -68,6 +68,27 @@ class TestTau:
         }
         assert len(err.splitlines()) == 1
         assert str(SOFT_TAU_MAX_N) in err
+
+    @pytest.mark.parametrize("line", ["1_000", "abc", "\u0661\u0662", "1.5\u0660", "--1"])
+    def test_bad_line_names_the_file_and_the_line(self, tmp_path, capsys, line):
+        a = tmp_path / "a.csv"
+        a.write_text(f"1.0\n\n{line}\n2.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "tau", "--a", str(a), "--b", str(a))
+        assert (code, out) == (1, "")
+        assert err == f"error: score file {a}, line 3: {line!r} is not a number\n"
+
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_bytes(b"1.0\n2\xff\n")
+        code, out, err = run_cli(capsys, "tau", "--a", str(a), "--b", str(a))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: score file {a}, line 2: ") and err.count("\n") == 1
+
+    def test_lines_are_read_as_float_reads_them(self, tmp_path):
+        lines = [" 2.5 ", "-1e-3", "+4", "7.", ".5", "1E2\t", "0.1000000000000000055511151231257827"]
+        a = tmp_path / "a.csv"
+        a.write_text("\r\n".join(lines) + "\n\n")
+        assert cli._read_scores(a).tolist() == [float(line) for line in lines]
 
 
 class TestSelect:
@@ -365,6 +386,23 @@ class TestVerify:
             (dir_a / f"{a.image_id}.json").write_text(a.to_json())
             (dir_b / f"{b.image_id}.json").write_text(b.to_json())
         return dir_a, dir_b
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--iou-gate", "5", "--sim-thresh", "nan"], "iou_gate must lie in [0, 1], got 5.0"),
+        (["--sim-thresh", "nan"], "sim_threshold must lie in [-1, 1], got nan"),
+    ], ids=["iou-gate", "sim-thresh"])
+    def test_thresholds_are_checked_before_any_file(self, tmp_path, capsys, flags, message):
+        (a, _), = make_annotation_fixture(1, seed=7)
+        dir_a, dir_b = self.write_dirs(tmp_path, [])
+        (dir_a / "only.json").write_text(a.to_json())  # no image is shared
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_missing_embeddings_is_a_one_line_error(self, tmp_path, capsys):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=7))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b))
+        assert (code, out, err) == (1, "", "error: verify needs --emb FILE or --hash-fallback\n")
 
     def test_empty_instance_lists_succeed(self, tmp_path, capsys):
         dir_a = tmp_path / "a"
@@ -669,6 +707,31 @@ class TestVerifyUnreadableFiles:
     def test_oversized_number(self, tmp_path, capsys, fields):
         self.run_with_bad_entry(
             tmp_path, capsys, lambda path: path.write_text(self.annotation_text(**fields)))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"width": "4.9"}, "width must be an integer, got 4.9"),
+        ({"width": "true"}, "width must be an integer, got True"),
+        ({"box": '["0.1", 0.1, 0.5, 0.5]'}, "box of tag 'a' must be numeric, got '0.1'"),
+        ({"box": "[0.1, 0.1, 0.5, true]"}, "box of tag 'a' must be numeric, got True"),
+        ({"score": '"0.5"'}, "instance score must be numeric, got '0.5'"),
+        ({"score": "false"}, "instance score must be numeric, got False"),
+    ], ids=["fractional-width", "boolean-width", "string-coordinate", "boolean-coordinate",
+            "string-score", "boolean-score"])
+    def test_value_of_the_wrong_json_type(self, tmp_path, capsys, fields, message):
+        error = self.run_with_bad_entry(
+            tmp_path, capsys, lambda path: path.write_text(self.annotation_text(**fields)))
+        assert error.endswith(f".json: {message}")
+
+    @pytest.mark.parametrize("image_id", ["5", "null", "[5]"])
+    def test_image_id_must_be_a_string(self, tmp_path, capsys, image_id):
+        def make_bad(path):
+            path.write_text(self.annotation_text().replace('"x"', image_id))
+            # A bottom-up file the id would pair with, were it turned into a string.
+            (path.parent.parent / "b" / "x.json").write_text(
+                self.annotation_text().replace('"x"', '"5"').replace("top_down", "bottom_up"))
+
+        error = self.run_with_bad_entry(tmp_path, capsys, make_bad)
+        assert error.endswith(f".json: image_id must be a string, got {json.loads(image_id)!r}")
 
     def test_nesting_too_deep_to_parse(self, tmp_path, capsys):
         self.run_with_bad_entry(

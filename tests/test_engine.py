@@ -375,6 +375,20 @@ class TestLoadErrors:
         assert str(exc) == ("box of tag 'b' must satisfy x1 <= x2 and y1 <= y2, "
                             "got [0.1, 0.6, 0.5, 0.5]")
 
+    def test_wrong_json_type_in_file_order(self, tmp_path):
+        exc = load_error(tmp_path, [GOOD, {**GOOD, "score": "0.5"}, {**GOOD, "score": 1.5}])
+        assert str(exc) == "instance score must be numeric, got '0.5'"
+        exc = load_error(tmp_path, [{**GOOD, "score": 1.5}, {**GOOD, "box": [0.1, 0.1, 0.5, True]}])
+        assert str(exc) == "instance score must lie in [0, 1], got 1.5"
+
+    def test_json_integers_load(self):
+        ann = AnnotationSet.from_dict({
+            "image_id": "img", "width": 8.0, "height": 6, "source": "top_down",
+            "instances": [{"box": [0, 0, 1, 1], "tag": "a", "score": 1}]})
+        assert (type(ann.width), ann.width, ann.height) == (int, 8, 6)
+        assert ann.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        assert type(ann.instances[0].score) is float
+
     def test_batch_verify_records_the_message(self, tmp_path):
         dir_a, dir_b = write_fixture_dirs(tmp_path, make_annotation_fixture(2, seed=22))
         bad = {"image_id": "bad", "width": 8, "height": 8, "source": "top_down",

@@ -82,6 +82,24 @@ class TestGatedAttn:
         np.testing.assert_allclose(out1, out2, atol=1e-12)
         np.testing.assert_allclose(bg1, bg2, atol=1e-12)
 
+    def test_equals_the_plain_formula(self):
+        # softmax([q k^T, q b] / sqrt(d_k)) @ [v; b], d_k drawn apart from d.
+        rng = seeded_rng(6)
+        scales_apart = 0
+        for _ in range(40):
+            n_q, n_k, d = (int(n) for n in rng.integers(1, 9, size=3))
+            d_k = int(rng.integers(1, 3 * d + 1))
+            scales_apart += d_k != d
+            q, k, v = (rng.standard_normal((n, d)) for n in (n_q, n_k, n_k))
+            b = rng.standard_normal(d)
+            logits = np.column_stack([q @ k.T, q @ b]) / math.sqrt(d_k)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            w = e / e.sum(axis=1, keepdims=True)
+            out, bg = gated_attn(q, k, v, b, d_k=d_k)
+            np.testing.assert_allclose(out, w @ np.vstack([v, b]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bg, w[:, -1], rtol=0, atol=1e-12)
+        assert scales_apart > 20
+
     def test_key_value_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             gated_attn(np.ones((1, 2)), np.ones((2, 2)), np.ones((3, 2)), np.ones(2), 2)

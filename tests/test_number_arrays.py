@@ -91,6 +91,22 @@ class TestAsFinite:
         with pytest.raises(ValueError, match=f"^x must be numeric, got {re.escape(bad)}$"):
             as_finite(x, "x", np.ndim(x))
 
+    @pytest.mark.parametrize("x, bad", [
+        ([[1, 2], [3, True]], "True"), ([[1.0, 2.0], (3.0, False)], "False"),
+        ([[[0.5]], [["0.5"]]], "'0.5'"), ([np.array([1.0]), [None]], "None"),
+        ([np.array([1.0, 2.0]), np.array([True, False])], "True"),
+        (np.array([[1, True]], dtype=object), "True"),
+    ], ids=["bool-in-nested-list", "bool-in-nested-tuple", "text-two-deep", "none-beside-array",
+            "boolean-array-in-list", "bool-in-object-array"])
+    def test_nested_entries_are_checked(self, x, bad):
+        with pytest.raises(ValueError, match=f"^x must be numeric, got {re.escape(bad)}$"):
+            as_finite(x, "x", np.ndim(x))
+
+    def test_number_arrays_in_lists_pass(self):
+        x = [np.array([1, 2], dtype=np.int8), np.array([3.0, 4.0]), [5, 6.0]]
+        out = as_finite(x, "x", 2)
+        assert out.dtype == np.float64 and out.tolist() == [[1, 2], [3, 4], [5, 6]]
+
     @pytest.mark.parametrize("x", [[10**400], [1.0, float("inf")], [-np.inf]])
     def test_beyond_the_float_range_is_non_finite(self, x):
         with pytest.raises(ValueError, match="^x contains non-finite entries$"):

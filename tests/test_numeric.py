@@ -298,3 +298,15 @@ def test_numeric_is_the_only_module_that_checks_finiteness():
                 users.append((path.name, getattr(node, "name", type(node).__name__)))
     assert [(module, name) for module, name in users
             if not (module == "losses.py" and name in BOX_RULES)] == []
+
+
+def _calls_to(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_fusion_runs_softmax_only_in_its_attention_kernel():
+    tree = ast.parse((SRC / "fusion.py").read_text())
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_token_attention")
+    assert len(_calls_to(tree, "softmax_rows")) == len(_calls_to(kernel, "softmax_rows")) > 0
