@@ -333,8 +333,8 @@ def cross_verify(
 
     sims_before: list[float] = []
     if gated:
-        sims_before = cosine_rows([emb.embed(ia.tag) for ia, _ in gated],
-                                  [emb.embed(ib.tag) for _, ib in gated]).tolist()
+        sims_before = cosine_rows(np.array([emb.embed(ia.tag) for ia, _ in gated]),
+                                  np.array([emb.embed(ib.tag) for _, ib in gated])).tolist()
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]

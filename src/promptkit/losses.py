@@ -280,6 +280,9 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
             break
         v = relaxed
     tight = w + v[col_of][:, None] - v[None, :] <= tol
+    # A row is tight at its own column, wherever the search moves it: one
+    # whose first tight column is not below its own has none to move to.
+    first = tight.argmax(axis=1).tolist()
     # Column -> its tight rows, read only for columns a search reaches.
     tight_rows: dict[int, list[int]] = {}
 
@@ -289,9 +292,9 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     col_of = np.minimum(col_of, n_cols).tolist()
     for r in range(n_rows):
         freed = col_of[r]
-        lower = np.flatnonzero(tight[r, :freed]).tolist()
-        if not lower:
+        if first[r] >= freed:
             continue
+        lower = np.flatnonzero(tight[r, :freed]).tolist()
         # Breadth-first search back from r's column over later rows: row i
         # can give up its column for a tight one already reached.
         parent = {freed: None}
@@ -406,16 +409,15 @@ def match_and_total_loss(
     matches: list[tuple[int, int]] = []
     cls_raw = bbox = 0.0
     if preds and targets:
-        sim = cosine_matrix([p.embed for p in preds], [t.embed for t in targets])
+        sim = cosine_matrix(np.array([p.embed for p in preds]), np.array([t.embed for t in targets]))
         pred_boxes = np.array([as_box(p.box, "pred box") for p in preds])
         gt_boxes = np.array([as_box(t.box, "gt box") for t in targets])
-        boxes = np.vstack([pred_boxes, gt_boxes])
-        inverted = (boxes[:, :2] > boxes[:, 2:]).any(axis=1)
-        if inverted.any():
-            i = int(inverted.argmax())
-            side, index = ("pred", i) if i < len(preds) else ("target", i - len(preds))
-            raise ValueError(f"{side} box {index} must satisfy x1 <= x2 and y1 <= y2, "
-                             f"got {boxes[i].tolist()}")
+        for side, boxes in (("pred", pred_boxes), ("target", gt_boxes)):
+            inverted = (boxes[:, :2] > boxes[:, 2:]).any(axis=1)
+            if inverted.any():
+                i = int(inverted.argmax())
+                raise ValueError(f"{side} box {i} must satisfy x1 <= x2 and y1 <= y2, "
+                                 f"got {boxes[i].tolist()}")
         l1 = pairwise_l1(pred_boxes, gt_boxes)
         giou = pairwise_giou_loss(pred_boxes, gt_boxes)
         assignment, _ = hungarian(w.cls * (1.0 - sim) / 2.0 + w.l1 * l1 + w.giou * giou)

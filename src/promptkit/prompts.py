@@ -7,6 +7,7 @@ query, bilinearly samples the paired pyramid level, combines the
 samples by softmax attention weights, projects, and adds a (gated)
 residual.  Text prompts come from a pluggable embedding provider: a
 JSON-file lookup, a deterministic hash fallback, or a constant vector.
+A provider's ``embed(tag)`` returns a unit vector.
 """
 
 from __future__ import annotations
@@ -292,7 +293,5 @@ class FileEmbeddings:
 
 
 def provide_text_embedding(tag: str, provider) -> PromptEmbedding:
-    """Fetch the provider's vector for a tag as a unit-norm text embedding."""
-    vec = provider.embed(tag)
-    p = PromptEmbedding(vec=vec, kind="text", category=tag)
-    return normalize(p)
+    """The provider's unit vector for a tag as a text embedding."""
+    return PromptEmbedding(vec=provider.embed(tag), kind="text", category=tag)

@@ -55,6 +55,23 @@ class TestCrossVerify:
             _, report = cross_verify(a, b, HashEmbeddings(dim), sim_threshold=1.0)
             assert report.retained == 8
 
+    def test_tag_vectors_reach_the_kernel_as_arrays(self, monkeypatch):
+        cosine_rows = engine.cosine_rows
+        seen = []
+
+        def recording(x, y):
+            seen.append((x, y))
+            return cosine_rows(x, y)
+
+        monkeypatch.setattr(engine, "cosine_rows", recording)
+        a, b = single_instance_sets(tag_b="dog")
+        _, report = cross_verify(a, b, HashEmbeddings(8))
+        [(x, y)] = seen
+        for side, tag in ((x, "cat"), (y, "dog")):
+            assert type(side) is np.ndarray and side.dtype == np.float64
+            assert side.tolist() == [HashEmbeddings(8).embed(tag).tolist()]
+        assert report.similarities_before == tuple(cosine_rows(x, y).tolist())
+
     def test_iou_gate_discards_disjoint_match(self):
         a = AnnotationSet("img", 640, 480, "top_down",
                           (Instance(np.array([0.0, 0.0, 0.2, 0.2]), "cat", 0.9, "top_down"),))

@@ -339,6 +339,21 @@ class TestMatchAndTotalLoss:
         target = Target(box=pred.box.copy(), embed=pred.embed.copy(), mask=pred.mask.copy())
         return pred, target
 
+    def test_embeddings_reach_the_kernel_as_arrays(self, monkeypatch):
+        cosine_matrix = promptkit.losses.cosine_matrix
+        seen = []
+
+        def recording(x, y):
+            seen.append((x, y))
+            return cosine_matrix(x, y)
+
+        monkeypatch.setattr(promptkit.losses, "cosine_matrix", recording)
+        pred, target = self.exact_pair()
+        match_and_total_loss([pred, pred], [target])
+        [(x, y)] = seen
+        assert type(x) is np.ndarray and x.tolist() == [pred.embed.tolist()] * 2
+        assert type(y) is np.ndarray and y.tolist() == [target.embed.tolist()]
+
     def test_exact_predictions_zero_box_and_mask(self):
         pred, target = self.exact_pair()
         breakdown, matches, _ = match_and_total_loss([pred], [target])
@@ -452,6 +467,14 @@ class TestMatchBoxContract:
         with pytest.raises(ValueError) as excinfo:
             match_and_total_loss([pred], [target, target, bad])
         assert str(excinfo.value) == f"target box 2 must satisfy x1 <= x2 and y1 <= y2, got {box}"
+
+    def test_inverted_prediction_named_before_inverted_target(self):
+        pred, target = self.pair([0.1, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, 0.5])
+        bad_pred, bad_target = self.pair([0.5, 0.5, 0.4, 0.4], [0.9, 0.1, 0.8, 0.2])
+        with pytest.raises(ValueError) as excinfo:
+            match_and_total_loss([pred, pred, bad_pred], [bad_target, target])
+        assert str(excinfo.value) == ("pred box 2 must satisfy x1 <= x2 and y1 <= y2, "
+                                      "got [0.5, 0.5, 0.4, 0.4]")
 
     def test_degenerate_boxes_accepted(self):
         pred, target = self.pair([0.3, 0.3, 0.3, 0.6], [0.2, 0.4, 0.7, 0.4])

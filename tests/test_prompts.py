@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from promptkit import prompts
 from promptkit.numeric import bilinear_sample, seeded_rng
 from promptkit.prompts import (
     ConstantEmbeddings,
@@ -227,3 +229,49 @@ class TestEmbeddingProviders:
     def test_constant_provider_identical_for_all_tags(self):
         provider = ConstantEmbeddings(dim=8)
         np.testing.assert_array_equal(provider.embed("a"), provider.embed("b"))
+
+
+def _provider(kind, tmp_path):
+    """One in-package provider and a tag it embeds, by ``kind``."""
+    if kind == "hash":
+        return HashEmbeddings(dim=16), "zebra"
+    if kind == "constant":
+        return ConstantEmbeddings(dim=16), "zebra"
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({"cat": [3.0, -4.0, 1e-3, 12.0]}))
+    return FileEmbeddings.from_file(path, fallback=True), "cat" if kind == "file-stored" else "zebra"
+
+
+PROVIDER_KINDS = ["hash", "file-stored", "file-fallback", "constant"]
+
+
+class TestProvidersReturnUnitVectors:
+    """A provider's ``embed`` returns a unit vector, so
+    ``provide_text_embedding`` takes it as it is."""
+
+    @pytest.mark.parametrize("kind", PROVIDER_KINDS)
+    def test_every_provider_returns_a_unit_vector(self, tmp_path, kind):
+        provider, tag = _provider(kind, tmp_path)
+        for vec in (provider.embed(tag), provide_text_embedding(tag, provider).vec):
+            assert abs(math.sqrt(math.fsum(vec * vec)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", PROVIDER_KINDS)
+    def test_text_embedding_is_the_provider_vector(self, tmp_path, kind):
+        provider, tag = _provider(kind, tmp_path)
+        emb = provide_text_embedding(tag, provider)
+        assert (emb.kind, emb.category) == ("text", tag)
+        assert emb.vec.tolist() == provider.embed(tag).tolist()
+
+    @pytest.mark.parametrize("kind", ["hash", "file-stored", "file-fallback"])
+    def test_one_normalisation_per_tag(self, tmp_path, monkeypatch, kind):
+        provider, tag = _provider(kind, tmp_path)
+        unit_rows = prompts.unit_rows
+        calls = []
+
+        def counting(x, what):
+            calls.append(what)
+            return unit_rows(x, what)
+
+        monkeypatch.setattr(prompts, "unit_rows", counting)
+        provide_text_embedding(tag, provider)
+        assert len(calls) == 1
