@@ -66,15 +66,50 @@ class AlignResult:
     grad_negative: np.ndarray | None = None
 
 
-def _cross_entropy(queries, keys, inv_temp: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy of query i against every key, with key i
-    as its positive, and the gradients w.r.t. queries and keys."""
-    k = queries.shape[0]
-    log_p = log_softmax_rows((queries @ keys.T) * inv_temp)
+def _forward(visual, text, temperature: float, negative_visual):
+    """Check the inputs and compute the loss and what its gradients need:
+    the inputs as float64 arrays, the text-to-visual keys (negatives
+    stacked after the K visual rows) and both directions' row
+    log-softmax of the temperature-scaled similarities."""
+    v = np.asarray(visual, dtype=np.float64)
+    t = np.asarray(text, dtype=np.float64)
+    if v.ndim != 2 or t.ndim != 2 or v.shape != t.shape:
+        raise ValueError(f"visual/text must be matching (K, d) arrays, got {v.shape} vs {t.shape}")
+    k = v.shape[0]
+    if k < 2:
+        raise ValueError("contrastive alignment needs K >= 2 pairs")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    keys = v
+    if negative_visual is not None:
+        neg = np.asarray(negative_visual, dtype=np.float64)
+        if neg.ndim != 2 or neg.shape[1] != v.shape[1]:
+            raise ValueError(f"negatives must be (M, {v.shape[1]}), got {neg.shape}")
+        keys = np.vstack([v, neg])
+
+    inv_temp = 1.0 / temperature
+    # Mean softmax cross-entropy of query i against every key, with key i
+    # as its positive, in each direction.
+    log_p1 = log_softmax_rows((v @ t.T) * inv_temp)
+    log_p2 = log_softmax_rows((t @ keys.T) * inv_temp)
+    loss = 0.5 * (-np.trace(log_p1[:, :k]) / k + -np.trace(log_p2[:, :k]) / k)
+    return loss, v, t, keys, inv_temp, log_p1, log_p2
+
+
+def _logit_grad(log_p) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits) of one direction."""
+    k = log_p.shape[0]
     d = np.exp(log_p)
     d[:, :k] -= np.eye(k)
-    d /= k                                         # dL/dlogits
-    return -np.trace(log_p[:, :k]) / k, (d @ keys) * inv_temp, (d.T @ queries) * inv_temp
+    d /= k
+    return d
+
+
+def align_loss_value(visual, text, temperature: float = DEFAULT_TEMPERATURE,
+                     negative_visual=None) -> float:
+    """``align_loss(...).loss`` without the gradients: the same checks,
+    the same errors and the same float, bit for bit."""
+    return _forward(visual, text, temperature, negative_visual)[0]
 
 
 def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
@@ -89,30 +124,17 @@ def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,
     All-identical embeddings give exactly ln K; a diagonal-dominant
     similarity matrix gives each direction a loss below ln K.
     """
-    v = np.asarray(visual, dtype=np.float64)
-    t = np.asarray(text, dtype=np.float64)
-    if v.ndim != 2 or t.ndim != 2 or v.shape != t.shape:
-        raise ValueError(f"visual/text must be matching (K, d) arrays, got {v.shape} vs {t.shape}")
+    loss, v, t, keys, inv_temp, log_p1, log_p2 = _forward(visual, text, temperature,
+                                                          negative_visual)
     k = v.shape[0]
-    if k < 2:
-        raise ValueError("contrastive alignment needs K >= 2 pairs")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    neg = None
-    if negative_visual is not None:
-        neg = np.asarray(negative_visual, dtype=np.float64)
-        if neg.ndim != 2 or neg.shape[1] != v.shape[1]:
-            raise ValueError(f"negatives must be (M, {v.shape[1]}), got {neg.shape}")
-
-    inv_temp = 1.0 / temperature
-    loss1, grad1_v, grad1_t = _cross_entropy(v, t, inv_temp)
-    keys = v if neg is None else np.vstack([v, neg])
-    loss2, grad2_t, grad2_keys = _cross_entropy(t, keys, inv_temp)
+    d1 = _logit_grad(log_p1)
+    d2 = _logit_grad(log_p2)
+    grad2_keys = (d2.T @ t) * inv_temp
     return AlignResult(
-        loss=0.5 * (loss1 + loss2),
-        grad_visual=0.5 * (grad1_v + grad2_keys[:k]),
-        grad_text=0.5 * (grad1_t + grad2_t),
-        grad_negative=grad2_keys[k:] * 0.5 if neg is not None else None,
+        loss=loss,
+        grad_visual=0.5 * ((d1 @ t) * inv_temp + grad2_keys[:k]),
+        grad_text=0.5 * ((d1.T @ v) * inv_temp + (d2 @ keys) * inv_temp),
+        grad_negative=grad2_keys[k:] * 0.5 if negative_visual is not None else None,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import align_loss
+from .alignment import align_loss, align_loss_value
 from .losses import bce_mask_loss, dice_loss, giou_loss, l1_box_loss
 from .numeric import (
     DEFAULT_FD_EPS,
@@ -121,11 +121,11 @@ def _align_scenario(n: int, seed: int):
     split = k * ALIGN_DIM
 
     def f(p):
-        return align_loss(
+        return align_loss_value(
             p[:split].reshape(k, ALIGN_DIM),
             p[split:].reshape(k, ALIGN_DIM),
             temperature=ALIGN_TEMPERATURE,
-        ).loss
+        )
 
     res = align_loss(v, t, temperature=ALIGN_TEMPERATURE)
     return p0, f, np.concatenate([res.grad_visual.ravel(), res.grad_text.ravel()])

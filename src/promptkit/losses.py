@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import DEFAULT_TEMPERATURE, align_loss
-from .numeric import as_float_matrix, cosine_matrix
+from .numeric import as_float_matrix, check_numbers, cosine_matrix
 from .ranking import order_loss
 
 # DETR-family matching-cost convention; the composite objective also
@@ -346,12 +346,20 @@ class Prediction:
     embed: np.ndarray
     mask: np.ndarray | None = None
 
+    def __post_init__(self):
+        # The matcher stacks every embedding into one float array, where a
+        # boolean row would read as 0/1: each one is typed here instead.
+        check_numbers(self.embed, "prediction embedding")
+
 
 @dataclass(frozen=True)
 class Target:
     box: np.ndarray
     embed: np.ndarray
     mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        check_numbers(self.embed, "target embedding")
 
 
 @dataclass(frozen=True)

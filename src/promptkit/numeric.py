@@ -11,6 +11,7 @@ Everything here operates on float64 and is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,12 +229,13 @@ def finite_diff_grad(
     if eps <= 0:
         raise ValueError("eps must be positive")
     grad = np.zeros_like(p0)
+    step = np.zeros_like(p0)
     for i in range(p0.size):
-        step = np.zeros_like(p0)
         step[i] = eps
         f_plus = float(f(p0 + step))
         f_minus = float(f(p0 - step))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        step[i] = 0.0
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise ValueError(f"function evaluation non-finite at coordinate {i}")
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad

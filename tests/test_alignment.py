@@ -9,9 +9,12 @@ from promptkit.alignment import (
     AlignBatch,
     SamplerManifest,
     align_loss,
+    align_loss_value,
     build_negative_prompts,
     sample_batches,
 )
+from promptkit import alignment
+from promptkit.gradcheck import run_gradcheck
 from promptkit.numeric import compare_grads, finite_diff_grad, seeded_rng
 
 
@@ -308,6 +311,52 @@ class TestAlignLossProperties:
         if with_negatives:
             np.testing.assert_allclose(res.grad_negative, base.grad_negative,
                                        rtol=1e-9, atol=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(align_inputs(), st.sampled_from(["none", "some", "empty"]))
+    def test_value_is_align_loss_bit_for_bit(self, inputs, negatives):
+        v, t, neg, temperature, _ = inputs
+        neg = {"none": None, "some": neg, "empty": np.empty((0, v.shape[1]))}[negatives]
+        value = align_loss_value(v, t, temperature, negative_visual=neg)
+        loss = align_loss(v, t, temperature, negative_visual=neg).loss
+        assert np.float64(value).tobytes() == np.float64(loss).tobytes()
+
+
+BAD_ALIGN_INPUTS = {
+    "one-pair": (np.eye(1, 4), np.eye(1, 4), 0.1, None),
+    "zero-temperature": (np.eye(2, 4), np.eye(2, 4), 0.0, None),
+    "negative-temperature": (np.eye(2, 4), np.eye(2, 4), -0.5, None),
+    "mismatched-shapes": (np.eye(2, 4), np.eye(3, 4), 0.1, None),
+    "1-d-rows": (np.ones(4), np.ones(4), 0.1, None),
+    "negatives-wrong-width": (np.eye(2, 4), np.eye(2, 4), 0.1, np.ones((2, 3))),
+    "negatives-1-d": (np.eye(2, 4), np.eye(2, 4), 0.1, np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("inputs", BAD_ALIGN_INPUTS.values(), ids=BAD_ALIGN_INPUTS)
+def test_value_raises_what_align_loss_raises(inputs):
+    visual, text, temperature, neg = inputs
+    with pytest.raises(ValueError) as expected:
+        align_loss(visual, text, temperature, negative_visual=neg)
+    with pytest.raises(ValueError) as got:
+        align_loss_value(visual, text, temperature, negative_visual=neg)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_align_gradcheck_runs_one_backward_pass(monkeypatch, seed):
+    # The 512 loss evaluations of the oracle need values only; the one
+    # analytic align_loss call runs the backward step once per direction.
+    calls = []
+    real = alignment._logit_grad
+
+    def counting(log_p):
+        calls.append(log_p.shape)
+        return real(log_p)
+
+    monkeypatch.setattr(alignment, "_logit_grad", counting)
+    assert run_gradcheck("align", 8, seed).n_params == 256
+    assert calls == [(8, 8), (8, 8)]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import os
 import re
@@ -766,6 +767,41 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--help"])
         assert excinfo.value.code == 0
+
+    def test_one_parser_per_process(self, tmp_path, capsys, monkeypatch):
+        # Parsing leaves the parser as it was, so every call after the first
+        # prints what it would print in a fresh process.
+        monkeypatch.setenv("COLUMNS", "80")
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "x.json").write_text('{"image_id": "x"}')
+        gradcheck_argv = ["gradcheck", "--loss", "l1", "--n", "2", "--seed", "3"]
+        calls = [
+            gradcheck_argv,
+            ["verify", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"), "--hash-fallback"],
+            ["gradcheck", "--loss", "bogus"],
+            gradcheck_argv,
+        ]
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(counting_build_parser))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(promptkit.__file__)))
+        for argv, want_code in zip(calls, (0, 1, 2, 0)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "promptkit.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (want_code, fresh.stdout, fresh.stderr), argv
+            assert fresh.returncode == want_code
+        assert len(built) == 1
 
 
 def test_import_defers_scipy_optimize():

@@ -485,6 +485,28 @@ class TestMatchBoxContract:
         assert breakdown.bbox == w.l1 * l1_box_loss(pred.box, target.box)[0] + w.giou * 2.0
 
 
+class TestMatchEmbeddingContract:
+    """``Prediction`` and ``Target`` type their embeddings where they are
+    built: the matcher stacks each side into one float array, where a
+    boolean row beside float rows would read as 0/1."""
+
+    @pytest.mark.parametrize("make", [Prediction, Target], ids=["prediction", "target"])
+    @pytest.mark.parametrize("embed", [np.array([True, False]), [0.5, True]],
+                             ids=["boolean-array", "boolean-entry"])
+    def test_boolean_embedding_raises(self, make, embed):
+        name = "prediction" if make is Prediction else "target"
+        with pytest.raises(ValueError) as excinfo:
+            make(box=np.array([0.1, 0.1, 0.5, 0.5]), embed=embed)
+        assert str(excinfo.value) == f"{name} embedding must be numeric, got True"
+
+    def test_boolean_embedding_beside_float_rows_is_refused(self):
+        box, embed = np.array([0.1, 0.1, 0.5, 0.5]), unit([1.0, 0.5, 0.25])
+        pred, target = Prediction(box=box, embed=embed), Target(box=box, embed=embed)
+        with pytest.raises(ValueError, match="^prediction embedding must be numeric, got True$"):
+            match_and_total_loss([pred, Prediction(box=box, embed=np.array([True, False, True]))],
+                                 [target])
+
+
 class TestValidateBox:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
