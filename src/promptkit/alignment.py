@@ -53,10 +53,6 @@ class AlignBatch:
         object.__setattr__(self, "visual", v)
         object.__setattr__(self, "text", t)
 
-    @property
-    def size(self) -> int:
-        return int(self.visual.shape[0])
-
 
 @dataclass(frozen=True)
 class AlignResult:
@@ -187,6 +183,8 @@ class SamplerManifest:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SamplerManifest":
+        if not isinstance(obj, dict):
+            raise ValueError("malformed manifest: not a JSON object")
         try:
             samples = tuple((s["id"], s["dataset"]) for s in obj["samples"])
             return cls(samples=samples, batch_size=as_int(obj["batch_size"], "batch_size"),

@@ -104,6 +104,8 @@ def _cmd_select(args) -> int:
     with open(args.scores) as fh:
         scores = json.load(fh)
     where = f"scores file {args.scores}"
+    if not isinstance(scores, dict):
+        raise ValueError(f"{where} must be a JSON object")
     text = as_finite(_required(scores, "text", where), "text score list", 1)
     visual = as_finite(_required(scores, "visual", where), "visual score list", 1)
     idx = select_queries(text, visual, args.k, alpha=args.alpha)
@@ -149,6 +151,8 @@ def _config_count(cfg: dict, key: str, default, least: int) -> int:
 def _cmd_fuse_demo(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     dim = _config_count(cfg, "dim", None, 1)
     seed = as_int(cfg["seed"], "seed") if "seed" in cfg else _default_seed()
     layers = _config_count(cfg, "layers", 3, 0)

@@ -129,6 +129,8 @@ class AnnotationSet:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AnnotationSet":
+        if not isinstance(obj, dict):
+            raise ValueError("annotation must be a JSON object")
         source = obj["source"]
         boxes, instances = _instance_rows(list(obj["instances"]), source)
         image_id = obj["image_id"]
@@ -328,7 +330,7 @@ def cross_verify(
     if a.instances and b.instances:
         overlaps = pairwise_iou(a.boxes, b.boxes)
         assignment, _ = hungarian(1.0 - overlaps)
-    gated = [(a.instances[i], b.instances[j]) for i, j in sorted(assignment.items())
+    gated = [(a.instances[i], b.instances[j]) for i, j in assignment.items()
              if overlaps[i, j] >= iou_gate]
 
     sims_before: list[float] = []

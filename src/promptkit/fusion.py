@@ -22,14 +22,14 @@ from .numeric import as_finite, seeded_rng, softmax_rows
 
 STREAMS = ("features", "text", "visual")
 
-# Pathway name -> (query stream, key/value stream); the name is the
-# stream being updated.
+# Pathway name -> (query stream, key/value stream), in run order; the
+# name is the stream being updated.
 PATHWAYS = {
     "text": ("text", "features"),
     "visual": ("visual", "features"),
     "features": ("features", "visual"),
 }
-PATHWAY_ORDER = ("text", "visual", "features")
+PATHWAY_ORDER = tuple(PATHWAYS)
 
 
 def gated_attn(q, k, v, background, d_k: int):
@@ -261,20 +261,13 @@ def _attend(state: FusionState, params: FusionParams) -> tuple[dict, dict]:
     return streams, stats
 
 
-def _feed_forward(streams: dict, params: FusionParams) -> FusionState:
-    return FusionState(**{
-        name: x + params.ffn[name].apply(x) if x.shape[0] else x
-        for name, x in streams.items()
-    })
-
-
 def fusion_layer(state: FusionState, params: FusionParams) -> FusionState:
     """Apply one early-fusion layer; token counts and dims are preserved.
 
     Pathways whose query or key stream is empty are skipped, leaving
     the remaining pathways identical to a run without that stream.
     """
-    return _feed_forward(_attend(state, params)[0], params)
+    return run_layers(state, (params,))[0]
 
 
 def background_activation_stats(state: FusionState, params: FusionParams) -> dict:
@@ -292,5 +285,8 @@ def run_layers(state: FusionState, layers: Iterable[FusionParams]) -> tuple[Fusi
     for params in layers:
         streams, layer_stats = _attend(state, params)
         stats.append(layer_stats)
-        state = _feed_forward(streams, params)
+        state = FusionState(**{
+            name: x + params.ffn[name].apply(x) if x.shape[0] else x
+            for name, x in streams.items()
+        })
     return state, stats

@@ -257,7 +257,8 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     Among all minimum-cost assignments, returns the lexicographically
     smallest one: rows are fixed in index order to the lowest column
     that still admits an optimal completion, with "unassigned" ordering
-    after any column.  Raises on non-finite costs.
+    after any column.  The returned dict lists its rows in ascending
+    order.  Raises on non-finite costs.
 
     One ``linear_sum_assignment`` solve, on the costs padded to a square with
     zero-cost dummies, gives an optimum and its dual potentials.  The tie-break
@@ -267,7 +268,7 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     c = as_float_matrix(costs, "cost matrix")
     n_rows, n_cols = c.shape
     n = max(n_rows, n_cols)
-    sq = np.pad(c, ((0, n - n_rows), (0, n - n_cols)))
+    sq = c if n_rows == n_cols else np.pad(c, ((0, n - n_rows), (0, n - n_cols)))
     rows, col_of = linear_sum_assignment(sq)
     tol = 1e-9 * max(1.0, abs(float(sq[rows, col_of].sum())))
 
@@ -283,13 +284,18 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
     # A row is tight at its own column, wherever the search moves it: one
     # whose first tight column is not below its own has none to move to.
     first = tight.argmax(axis=1).tolist()
-    # Column -> its tight rows, read only for columns a search reaches.
+    # Column -> its tight real rows, read only for columns a search reaches.
     tight_rows: dict[int, list[int]] = {}
 
     # The dummy columns of a tall matrix share one cost column, potential
     # and set of tight rows: they are one search node, n_cols, which sorts
     # after every real column.
     col_of = np.minimum(col_of, n_cols).tolist()
+    # The dummy rows of a wide matrix cost zero everywhere, and at the
+    # potentials' fixed point the columns they hold share one potential:
+    # they are tight at the same columns, and their columns enter a search
+    # only through them, so they are reached all at once.
+    wide = n_rows < n_cols
     for r in range(n_rows):
         freed = col_of[r]
         if first[r] >= freed:
@@ -302,11 +308,15 @@ def hungarian(costs) -> tuple[dict[int, int], float]:
         while queue and lower[0] not in parent:
             g = queue.popleft()
             if g not in tight_rows:
-                tight_rows[g] = np.flatnonzero(tight[:, g]).tolist()
+                tight_rows[g] = np.flatnonzero(tight[:n_rows, g]).tolist()
             for i in tight_rows[g]:
                 if i > r and col_of[i] not in parent:
                     parent[col_of[i]] = (i, g)
                     queue.append(col_of[i])
+            if wide and tight[n_rows, g] and col_of[n_rows] not in parent:
+                for i in range(n_rows, n):
+                    parent[col_of[i]] = (i, g)
+                queue.extend(col_of[n_rows:])
         col = col_of[r] = next((j for j in lower if j in parent), freed)
         while col != freed:
             i, col = parent[col]
@@ -418,8 +428,8 @@ def match_and_total_loss(
     cls_raw = bbox = 0.0
     if preds and targets:
         sim = cosine_matrix(np.array([p.embed for p in preds]), np.array([t.embed for t in targets]))
-        pred_boxes = np.array([as_box(p.box, "pred box") for p in preds])
-        gt_boxes = np.array([as_box(t.box, "gt box") for t in targets])
+        pred_boxes = np.array([as_box(p.box, f"pred box {i}") for i, p in enumerate(preds)])
+        gt_boxes = np.array([as_box(t.box, f"target box {i}") for i, t in enumerate(targets)])
         for side, boxes in (("pred", pred_boxes), ("target", gt_boxes)):
             inverted = (boxes[:, :2] > boxes[:, 2:]).any(axis=1)
             if inverted.any():
@@ -429,7 +439,7 @@ def match_and_total_loss(
         l1 = pairwise_l1(pred_boxes, gt_boxes)
         giou = pairwise_giou_loss(pred_boxes, gt_boxes)
         assignment, _ = hungarian(w.cls * (1.0 - sim) / 2.0 + w.l1 * l1 + w.giou * giou)
-        matches = sorted(assignment.items())
+        matches = list(assignment.items())
         rows, cols = np.array(matches).T
         cls_terms = np.abs(sim).max(axis=1) / 2.0
         cls_terms[rows] = (1.0 - sim[rows, cols]) / 2.0

@@ -108,6 +108,12 @@ class TestSelect:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_scores_file_must_be_an_object(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "select", "--scores", str(scores), "--k", "1")
+        assert (code, out, err) == (1, "", f"error: scores file {scores} must be a JSON object\n")
+
     @pytest.mark.parametrize("present, missing", [("visual", "text"), ("text", "visual")])
     def test_missing_key_is_named(self, tmp_path, capsys, present, missing):
         scores = tmp_path / "scores.json"
@@ -191,6 +197,12 @@ class TestFuseDemo:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "fuse.json"
+        config.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out, err) == (1, "", "error: config must be a JSON object\n")
 
     def test_missing_dim_is_named(self, tmp_path, capsys):
         config = tmp_path / "fuse.json"
@@ -365,6 +377,23 @@ class TestSample:
         assert (code, out) == (1, "")
         assert err == f'error: sample "{key}" must be a string, got {sample[key]!r}\n'
 
+    def test_manifest_must_be_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out, err) == (1, "", "error: malformed manifest: not a JSON object\n")
+
+    @pytest.mark.parametrize("override, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"samples": [{"id": "s0", "dataset": ""}]}, "sample 's0' has an empty dataset id"),
+    ], ids=["zero-batch-size", "empty-dataset"])
+    def test_bad_value_is_named(self, tmp_path, capsys, override, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 9,
+                                        "samples": [{"id": "s0", "dataset": "d0"}], **override}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("text", [
         '{"batch_size": 1e400, "seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}',
         '{"batch_size": 2, "seed": 9, "samples": %s}' % deeply_nested(50_000),
@@ -523,6 +552,19 @@ class TestVerify:
                                  "--out", str(out_dir), "--report", str(report))
         assert (code, out, err) == (1, "", "error: embedding for tag 'x' must be numeric, got '1.5'\n")
         assert not out_dir.exists() and not report.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "embedding file {emb} must be a nonempty JSON object"),
+        ("[1, 2]", "embedding file {emb} must be a nonempty JSON object"),
+        ('{"cat": []}', "embedding for tag 'cat' must be nonempty, got shape (0,)"),
+    ], ids=["empty-object", "list", "empty-vector"])
+    def test_bad_embedding_file_is_named(self, tmp_path, capsys, text, message):
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(1, seed=4))
+        emb = tmp_path / "emb.json"
+        emb.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--emb", str(emb))
+        assert (code, out, err) == (1, "", f"error: {message.format(emb=emb)}\n")
 
     def test_embedding_file_nested_too_deep_gives_one_line_error(self, tmp_path, capsys):
         dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=4))
@@ -733,6 +775,26 @@ class TestVerifyUnreadableFiles:
 
         error = self.run_with_bad_entry(tmp_path, capsys, make_bad)
         assert error.endswith(f".json: image_id must be a string, got {json.loads(image_id)!r}")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"x"', '""', "image_id must be nonempty"),
+        ('"width": 8', '"width": 0', "image dimensions must be positive"),
+        ("top_down", "sideways", f"source must be one of {engine.SOURCES}, got 'sideways'"),
+    ], ids=["empty-image-id", "zero-width", "unknown-source"])
+    def test_bad_value_is_named(self, tmp_path, capsys, old, new, message):
+        error = self.run_with_bad_entry(
+            tmp_path, capsys, lambda path: path.write_text(self.annotation_text().replace(old, new)))
+        assert error.endswith(f".json: {message}")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        error = self.run_with_bad_entry(tmp_path, capsys, lambda path: path.write_text("[1, 2]"))
+        assert error.endswith(".json: annotation must be a JSON object")
+
+    def test_duplicate_image_id(self, tmp_path, capsys):
+        # x.json is read after img0000.json and repeats its image_id.
+        error = self.run_with_bad_entry(tmp_path, capsys, lambda path: path.write_text(
+            self.annotation_text().replace('"x"', '"img0000"')))
+        assert error.endswith(".json: duplicate image_id 'img0000'")
 
     def test_nesting_too_deep_to_parse(self, tmp_path, capsys):
         self.run_with_bad_entry(

@@ -270,6 +270,18 @@ class TestHungarian:
         match_and_total_loss(preds, targets)
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    def test_rows_come_in_ascending_order(self, shape):
+        rng = seeded_rng(93)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            m = {"square": n, "tall": int(rng.integers(1, n + 1)),
+                 "wide": int(rng.integers(n, 30))}[shape]
+            costs = (rng.integers(0, 3, size=(n, m)).astype(float) if rng.random() < 0.5
+                     else rng.uniform(0, 1, size=(n, m)))
+            rows = list(hungarian(costs)[0])
+            assert rows == sorted(rows)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_total_invariant_under_permutation(self, data):
@@ -475,6 +487,17 @@ class TestMatchBoxContract:
             match_and_total_loss([pred, pred, bad_pred], [bad_target, target])
         assert str(excinfo.value) == ("pred box 2 must satisfy x1 <= x2 and y1 <= y2, "
                                       "got [0.5, 0.5, 0.4, 0.4]")
+
+    @pytest.mark.parametrize("pred_box, target_box, message", [
+        ([0.1, 0.1, 0.5], [0.1, 0.1, 0.5, 0.5], "pred box 1 must have 4 coordinates, got shape (3,)"),
+        ([0.1, 0.1, 0.5, 0.5], [0.1, np.nan, 0.5, 0.5], "target box 1 contains non-finite coordinates"),
+    ], ids=["short-pred", "non-finite-target"])
+    def test_bad_box_is_named_by_side_and_index(self, pred_box, target_box, message):
+        good_pred, good_target = self.pair([0.1, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, 0.5])
+        pred, target = self.pair(pred_box, target_box)
+        with pytest.raises(ValueError) as excinfo:
+            match_and_total_loss([good_pred, pred], [good_target, target])
+        assert str(excinfo.value) == message
 
     def test_degenerate_boxes_accepted(self):
         pred, target = self.pair([0.3, 0.3, 0.3, 0.6], [0.2, 0.4, 0.7, 0.4])
