@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import as_finite, as_int, log_softmax_rows, seeded_rng, unit_rows
+from .numeric import as_finite, as_int, as_objects, log_softmax_rows, seeded_rng, unit_rows
 from .prompts import PromptEmbedding
 
 DEFAULT_TEMPERATURE = 0.07
@@ -186,13 +186,11 @@ class SamplerManifest:
         if not isinstance(obj, dict):
             raise ValueError("malformed manifest: not a JSON object")
         try:
-            samples = tuple((s["id"], s["dataset"]) for s in obj["samples"])
+            samples = tuple((s["id"], s["dataset"]) for s in as_objects(obj["samples"], "samples"))
             return cls(samples=samples, batch_size=as_int(obj["batch_size"], "batch_size"),
                        seed=as_int(obj["seed"], "seed"))
         except KeyError as exc:
             raise ValueError(f'malformed manifest: no "{exc.args[0]}" key') from exc
-        except TypeError as exc:
-            raise ValueError(f"malformed manifest: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "SamplerManifest":

@@ -26,16 +26,16 @@ import math
 import os
 import secrets
 import stat
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .losses import hungarian, pairwise_iou, validate_box, validate_boxes
-from .numeric import PLAIN_NUMBER_TYPES, as_int, check_number, check_numbers, cosine_rows
+from .numeric import PLAIN_NUMBER_TYPES, as_int, as_objects, check_number, check_numbers, cosine_rows
 
 SOURCES = ("top_down", "bottom_up")
 
@@ -55,12 +55,12 @@ def missing_key_message(where, key) -> str:
 
 @dataclass(frozen=True)
 class Instance:
-    """One annotated object: box, tag, confidence, producing pipeline."""
+    """One annotated object: box, tag, confidence; its set holds the source."""
 
     box: np.ndarray
     tag: str
     score: float
-    source: str
+    _: KW_ONLY
     similarity: float | None = None
     alias_tag: str | None = None
 
@@ -70,17 +70,15 @@ class Instance:
             raise ValueError("instance tag must be nonempty")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"instance score must lie in [0, 1], got {self.score}")
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
 
     @classmethod
-    def _row(cls, box, tag, score, source, similarity=None, alias_tag=None) -> "Instance":
+    def _row(cls, box, tag, score, similarity=None, alias_tag=None) -> "Instance":
         """An instance whose fields were checked by the caller; nothing is
         checked again."""
         inst = object.__new__(cls)
         # One attribute at a time, as the generated __init__ does: a
         # replaced __dict__ would take about twice the memory.
-        for name, value in (("box", box), ("tag", tag), ("score", score), ("source", source),
+        for name, value in (("box", box), ("tag", tag), ("score", score),
                             ("similarity", similarity), ("alias_tag", alias_tag)):
             object.__setattr__(inst, name, value)
         return inst
@@ -115,11 +113,6 @@ class AnnotationSet:
             raise ValueError("image dimensions must be positive")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
-        for inst in self.instances:
-            if inst.source != self.source:
-                raise ValueError(
-                    f"instance source {inst.source!r} differs from set source {self.source!r}"
-                )
 
     @cached_property
     def boxes(self) -> np.ndarray:
@@ -132,7 +125,7 @@ class AnnotationSet:
         if not isinstance(obj, dict):
             raise ValueError("annotation must be a JSON object")
         source = obj["source"]
-        boxes, instances = _instance_rows(list(obj["instances"]), source)
+        boxes, instances = _instance_rows(as_objects(obj["instances"], "instances"))
         image_id = obj["image_id"]
         if not isinstance(image_id, str):
             raise ValueError(f"image_id must be a string, got {image_id!r}")
@@ -174,7 +167,7 @@ class AnnotationSet:
         ))
 
 
-def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...]]:
+def _instance_rows(items: list) -> tuple[np.ndarray, tuple[Instance, ...]]:
     """The instances of a file's ``items`` as rows of one (n, 4) box array,
     each check ``_checked_instance`` makes done once over the whole column."""
     try:
@@ -184,21 +177,21 @@ def _instance_rows(items: list, source) -> tuple[np.ndarray, tuple[Instance, ...
         scores = [item["score"] for item in items]
         similarities = [item.get("similarity") for item in items]
         alias_tags = [item.get("alias_tag") for item in items]
-        valid = (source in SOURCES and all(isinstance(tag, str) and tag for tag in tags)
+        valid = (all(isinstance(tag, str) and tag for tag in tags)
                  and set(map(type, chain(chain.from_iterable(coords), scores))) <= PLAIN_NUMBER_TYPES
                  and all(0.0 <= score <= 1.0 for score in scores))
     except Exception:  # the walk below raises it again, for the right instance
         valid = False
     if valid:
-        return boxes, tuple(map(Instance._row, boxes, tags, map(float, scores), repeat(source),
+        return boxes, tuple(map(Instance._row, boxes, tags, map(float, scores),
                                 similarities, alias_tags))
     # Some instance is invalid: build them one at a time, so that the first
     # bad one in file order raises its own message.
-    instances = tuple(map(_checked_instance, items, repeat(source)))
+    instances = tuple(map(_checked_instance, items))
     return np.array([inst.box for inst in instances]).reshape(-1, 4), instances
 
 
-def _checked_instance(item: dict, source) -> Instance:
+def _checked_instance(item: dict) -> Instance:
     """``item`` as an ``Instance``, with JSON numbers for its box and score
     and a string tag: the constructor itself converts any box and score it
     can and accepts any nonempty tag.  The types are checked first, then
@@ -210,7 +203,6 @@ def _checked_instance(item: dict, source) -> Instance:
         box=np.asarray(box, dtype=np.float64),
         tag=tag,
         score=float(score),
-        source=source,
         similarity=item.get("similarity"),
         alias_tag=item.get("alias_tag"),
     )
@@ -340,7 +332,7 @@ def cross_verify(
 
     kept = [(ia, ib, sim) for (ia, ib), sim in zip(gated, sims_before) if sim >= sim_threshold]
     sims_after = [sim for _, _, sim in kept]
-    retained = [Instance._row(ia.box, ia.tag, ia.score, ia.source, sim,
+    retained = [Instance._row(ia.box, ia.tag, ia.score, sim,
                               ib.tag if ib.tag != ia.tag else None)
                 for ia, ib, sim in kept]
 

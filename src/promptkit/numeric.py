@@ -105,6 +105,17 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_objects(value, name: str) -> list:
+    """``value`` when it is a JSON list of JSON objects, else ``ValueError``
+    naming ``name``, or ``name[i]`` for the first entry that is no object."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ValueError(f"{name}[{i}] must be a JSON object")
+    return value
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability.
 

@@ -148,7 +148,7 @@ def make_annotation_pair(image_id: str, rng) -> tuple[AnnotationSet, AnnotationS
     for j in range(n):
         box = random_valid_box(rng)
         tag = f"tag{int(rng.integers(0, 12)):02d}"
-        top.append(Instance(box, tag, float(rng.uniform(0.5, 1.0)), "top_down"))
+        top.append(Instance(box, tag, float(rng.uniform(0.5, 1.0))))
         # Jitter scale decides whether the pair survives an IoU gate.
         scale = 0.01 if rng.random() < 0.6 else 0.15
         jit = box + rng.uniform(-scale, scale, size=4)
@@ -158,7 +158,7 @@ def make_annotation_pair(image_id: str, rng) -> tuple[AnnotationSet, AnnotationS
             max(jit[0], jit[2]), max(jit[1], jit[3]),
         ])
         other = tag if rng.random() < 0.55 else f"tag{int(rng.integers(0, 12)):02d}"
-        bottom.append(Instance(jit, other, float(rng.uniform(0.5, 1.0)), "bottom_up"))
+        bottom.append(Instance(jit, other, float(rng.uniform(0.5, 1.0))))
     a = AnnotationSet(image_id, 640, 480, "top_down", tuple(top))
     b = AnnotationSet(image_id, 640, 480, "bottom_up", tuple(bottom))
     return a, b

@@ -342,6 +342,19 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("samples, message", [
+        ([1], "samples[0] must be a JSON object"),
+        ([{"id": "s0", "dataset": "d0"}, "s1"], "samples[1] must be a JSON object"),
+        ("ab", "samples must be a list, got 'ab'"),
+        (None, "samples must be a list, got None"),
+        ({"id": "s0", "dataset": "d0"}, "samples must be a list, got {'id': 's0', 'dataset': 'd0'}"),
+    ], ids=["int-entry", "string-entry", "string", "null", "object"])
+    def test_samples_must_be_a_list_of_objects(self, tmp_path, capsys, samples, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"batch_size": 2, "seed": 9, "samples": samples}))
+        code, out, err = run_cli(capsys, "sample", "--manifest", str(manifest))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("manifest_obj, key", [
         ({"batch_size": 2, "seed": 9}, "samples"),
         ({"seed": 9, "samples": [{"id": "s0", "dataset": "d0"}]}, "batch_size"),
@@ -608,6 +621,31 @@ class TestVerify:
         assert code == 1
         assert err == f"error: {message}\n"
         assert json.loads(out)["errors"] == [message]
+
+    @pytest.mark.parametrize("instances, message", [
+        ([1], "instances[0] must be a JSON object"),
+        ([{"box": [0.1, 0.1, 0.5, 0.5], "tag": "a", "score": 0.9}] * 2 + [[]],
+         "instances[2] must be a JSON object"),
+        (5, "instances must be a list, got 5"),
+        ("", "instances must be a list, got ''"),
+        ({}, "instances must be a list, got {}"),
+    ], ids=["int-entry", "list-entry", "int", "empty-string", "empty-object"])
+    def test_instances_must_be_a_list_of_objects(self, tmp_path, capsys, instances, message):
+        # A refused file is that file's error; the other images are still verified.
+        dir_a, dir_b = self.write_dirs(tmp_path, make_annotation_fixture(2, seed=8))
+        for side, source in ((dir_a, "top_down"), (dir_b, "bottom_up")):
+            (side / "bad.json").write_text(json.dumps({
+                "image_id": "bad", "width": 8, "height": 8, "source": source, "instances": []}))
+        bad = dir_a / "bad.json"
+        bad.write_text(json.dumps({"image_id": "bad", "width": 8, "height": 8,
+                                   "source": "top_down", "instances": instances}))
+        code, out, err = run_cli(capsys, "verify", "--a", str(dir_a), "--b", str(dir_b),
+                                 "--hash-fallback")
+        payload = json.loads(out)
+        assert (code, err) == (1, f"error: {bad}: {message}\n")
+        assert payload["errors"] == [f"{bad}: {message}"]
+        assert payload["unpaired"] == ["bad"]
+        assert payload["aggregate"]["images"] == 2
 
     @pytest.mark.parametrize("missing", ["a", "b"])
     def test_missing_directory_gives_exit_one(self, tmp_path, capsys, missing):

@@ -26,9 +26,9 @@ from promptkit.prompts import ConstantEmbeddings, FileEmbeddings, HashEmbeddings
 
 def single_instance_sets(box=(0.1, 0.1, 0.5, 0.5), tag_a="cat", tag_b="cat"):
     a = AnnotationSet("img", 640, 480, "top_down",
-                      (Instance(np.asarray(box, float), tag_a, 0.9, "top_down"),))
+                      (Instance(np.asarray(box, float), tag_a, 0.9),))
     b = AnnotationSet("img", 640, 480, "bottom_up",
-                      (Instance(np.asarray(box, float), tag_b, 0.8, "bottom_up"),))
+                      (Instance(np.asarray(box, float), tag_b, 0.8),))
     return a, b
 
 
@@ -49,9 +49,9 @@ class TestCrossVerify:
         for start in range(0, 64, 8):
             tags = [f"tag{start + k}" for k in range(8)]
             a = AnnotationSet("img", 640, 480, "top_down", tuple(
-                Instance(box, tag, 0.9, "top_down") for box, tag in zip(boxes, tags)))
+                Instance(box, tag, 0.9) for box, tag in zip(boxes, tags)))
             b = AnnotationSet("img", 640, 480, "bottom_up", tuple(
-                Instance(box, tag, 0.8, "bottom_up") for box, tag in zip(boxes, tags)))
+                Instance(box, tag, 0.8) for box, tag in zip(boxes, tags)))
             _, report = cross_verify(a, b, HashEmbeddings(dim), sim_threshold=1.0)
             assert report.retained == 8
 
@@ -74,9 +74,9 @@ class TestCrossVerify:
 
     def test_iou_gate_discards_disjoint_match(self):
         a = AnnotationSet("img", 640, 480, "top_down",
-                          (Instance(np.array([0.0, 0.0, 0.2, 0.2]), "cat", 0.9, "top_down"),))
+                          (Instance(np.array([0.0, 0.0, 0.2, 0.2]), "cat", 0.9),))
         b = AnnotationSet("img", 640, 480, "bottom_up",
-                          (Instance(np.array([0.7, 0.7, 0.9, 0.9]), "cat", 0.9, "bottom_up"),))
+                          (Instance(np.array([0.7, 0.7, 0.9, 0.9]), "cat", 0.9),))
         verified, report = cross_verify(a, b, ConstantEmbeddings(8), iou_gate=0.5)
         assert report.matched == 1
         assert report.retained == 0
@@ -93,12 +93,12 @@ class TestCrossVerify:
         swap = (1 - iou(a1, b2)) + (1 - iou(a2, b1))
         assert diag < swap
         a = AnnotationSet("img", 64, 64, "top_down", (
-            Instance(a1, "cat", 0.9, "top_down"),
-            Instance(a2, "dog", 0.9, "top_down"),
+            Instance(a1, "cat", 0.9),
+            Instance(a2, "dog", 0.9),
         ))
         b = AnnotationSet("img", 64, 64, "bottom_up", (
-            Instance(b1, "cat", 0.9, "bottom_up"),
-            Instance(b2, "dog", 0.9, "bottom_up"),
+            Instance(b1, "cat", 0.9),
+            Instance(b2, "dog", 0.9),
         ))
         verified, report = cross_verify(a, b, ConstantEmbeddings(4), iou_gate=0.5, sim_threshold=0.6)
         assert report.retained == 2
@@ -111,7 +111,7 @@ class TestCrossVerify:
         inst = verified.instances[0]
         assert inst.tag == "dog"
         assert inst.alias_tag == "puppy"
-        assert inst.source == "top_down"
+        assert verified.source == "top_down"
 
     def test_constant_provider_yields_unit_mean_similarity(self):
         a, b = single_instance_sets(tag_a="x", tag_b="y")
@@ -181,10 +181,23 @@ class TestCrossVerify:
 
 
 class TestAnnotationSet:
-    def test_mixed_sources_rejected(self):
-        with pytest.raises(ValueError, match="differs"):
-            AnnotationSet("img", 10, 10, "top_down",
-                          (Instance(np.array([0, 0, 0.5, 0.5]), "t", 0.5, "bottom_up"),))
+    def test_source_is_not_an_instance_field(self):
+        box = np.array([0.0, 0.0, 0.5, 0.5])
+        assert [f.name for f in dataclasses.fields(Instance)] == \
+            ["box", "tag", "score", "similarity", "alias_tag"]
+        # A stale positional source is refused rather than read as a similarity.
+        with pytest.raises(TypeError):
+            Instance(box, "t", 0.5, "top_down")
+        inst = Instance(box, "t", 0.5, similarity=0.25, alias_tag="u")
+        assert (inst.similarity, inst.alias_tag) == (0.25, "u")
+
+    def test_set_alone_holds_the_source(self):
+        instances = (Instance(np.array([0.0, 0.0, 0.5, 0.5]), "t", 0.5),)
+        for source in ("top_down", "bottom_up"):
+            ann = AnnotationSet("img", 10, 10, source, instances)
+            assert ann.to_dict()["source"] == source
+            assert json.loads(ann.to_json())["source"] == source
+        assert not hasattr(instances[0], "source")
 
     def test_json_round_trip(self):
         a, _ = single_instance_sets(tag_a="fox")
@@ -193,7 +206,7 @@ class TestAnnotationSet:
 
     def test_score_range_validated(self):
         with pytest.raises(ValueError, match="score"):
-            Instance(np.array([0, 0, 0.5, 0.5]), "t", 1.5, "top_down")
+            Instance(np.array([0, 0, 0.5, 0.5]), "t", 1.5)
 
 
 def write_fixture_dirs(tmp_path, pairs):
@@ -308,8 +321,8 @@ class TestTemplateWriter:
     def test_constructed_set_matches_json_dumps(self, doc):
         source = doc["source"]
         ann = AnnotationSet(doc["image_id"], doc["width"], doc["height"], source, tuple(
-            Instance(np.asarray(d["box"]), d["tag"], d["score"], source,
-                     d.get("similarity"), d.get("alias_tag"))
+            Instance(np.asarray(d["box"]), d["tag"], d["score"],
+                     similarity=d.get("similarity"), alias_tag=d.get("alias_tag"))
             for d in doc["instances"]))
         assert ann.to_json() == dumps_oracle(ann)
 
@@ -334,8 +347,9 @@ class TestTemplateWriter:
 
     def test_non_string_values_match_json_dumps(self):
         ann = AnnotationSet("img", 4, 3, "top_down", (
-            Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 1, "top_down", float("-inf"), [1, {"a": True}]),
-            Instance(np.array([0.0, 0.0, 1.0, 1.0]), True, 0, "top_down", 1, 2.5),
+            Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 1,
+                     similarity=float("-inf"), alias_tag=[1, {"a": True}]),
+            Instance(np.array([0.0, 0.0, 1.0, 1.0]), True, 0, similarity=1, alias_tag=2.5),
         ))
         assert ann.to_json() == dumps_oracle(ann)
 
@@ -445,7 +459,7 @@ class TestNonStringTags:
         assert str(exc) == "instance tag must be nonempty"
 
     def test_constructor_stays_permissive(self):
-        assert Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 0.5, "top_down").tag == 7
+        assert Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 0.5).tag == 7
 
     def test_hash_fallback_run_records_the_file(self, tmp_path):
         dir_a, dir_b = write_fixture_dirs(tmp_path, make_annotation_fixture(2, seed=24))
