@@ -15,12 +15,11 @@ sampler that keeps every training batch inside one source dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import as_finite, as_int, as_objects, log_softmax_rows, seeded_rng, unit_rows
+from .numeric import as_finite, as_int, as_objects, log_softmax_rows, read_json, seeded_rng, unit_rows
 from .prompts import PromptEmbedding
 
 DEFAULT_TEMPERATURE = 0.07
@@ -194,8 +193,7 @@ class SamplerManifest:
 
     @classmethod
     def from_file(cls, path) -> "SamplerManifest":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "manifest file"))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine, fusion
 from .alignment import SamplerManifest, sample_batches
 from .gradcheck import GRADCHECK_LOSSES, run_gradcheck
-from .numeric import DEFAULT_FD_EPS, as_finite, as_int
+from .numeric import DEFAULT_FD_EPS, as_finite, as_int, read_json
 from .prompts import DEFAULT_DIM, FileEmbeddings, HashEmbeddings
 from .ranking import kendall_tau, order_loss, select_queries
 
@@ -101,8 +101,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    with open(args.scores) as fh:
-        scores = json.load(fh)
+    scores = read_json(args.scores, "scores file")
     where = f"scores file {args.scores}"
     if not isinstance(scores, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -149,8 +148,7 @@ def _config_count(cfg: dict, key: str, default, least: int) -> int:
 
 
 def _cmd_fuse_demo(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config, "config file")
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     dim = _config_count(cfg, "dim", None, 1)

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .losses import hungarian, pairwise_iou, validate_box, validate_boxes
-from .numeric import PLAIN_NUMBER_TYPES, as_int, as_objects, check_number, check_numbers, cosine_rows
+from .numeric import PLAIN_NUMBER_TYPES, as_int, as_objects, check_number, cosine_rows
 
 SOURCES = ("top_down", "bottom_up")
 
@@ -45,7 +45,9 @@ DEFAULT_SIM_THRESHOLD = 0.6
 HISTOGRAM_EDGES = [round(-1.0 + 0.1 * i, 1) for i in range(21)]
 
 # What a bad input raises when it is read, parsed or converted, as opposed to a bug.
-BAD_INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError)
+# A size read from a file can ask for more memory than there is: MemoryError.
+BAD_INPUT_ERRORS = (ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError,
+                    MemoryError)
 
 
 def missing_key_message(where, key) -> str:
@@ -68,6 +70,7 @@ class Instance:
         object.__setattr__(self, "box", validate_box(self.box, f"box of tag {self.tag!r}"))
         if not self.tag:
             raise ValueError("instance tag must be nonempty")
+        check_number(self.score, "instance score")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"instance score must lie in [0, 1], got {self.score}")
 
@@ -192,17 +195,13 @@ def _instance_rows(items: list) -> tuple[np.ndarray, tuple[Instance, ...]]:
 
 
 def _checked_instance(item: dict) -> Instance:
-    """``item`` as an ``Instance``, with JSON numbers for its box and score
-    and a string tag: the constructor itself converts any box and score it
-    can and accepts any nonempty tag.  The types are checked first, then
-    the constructor's rules in its order, then the tag's type."""
-    box, tag, score = item["box"], item["tag"], item["score"]
-    check_numbers(box, f"box of tag {tag!r}")
-    check_number(score, "instance score")
+    """``item`` as an ``Instance`` with a string tag: the constructor's
+    checks in its order (box, nonempty tag, score), then the tag's type,
+    which the constructor leaves open."""
     inst = Instance(
-        box=np.asarray(box, dtype=np.float64),
-        tag=tag,
-        score=float(score),
+        box=item["box"],
+        tag=item["tag"],
+        score=item["score"],
         similarity=item.get("similarity"),
         alias_tag=item.get("alias_tag"),
     )
@@ -357,7 +356,9 @@ def cross_verify(
     return verified, report
 
 
-def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
+def _load_dir(directory, source: str) -> tuple[dict[str, AnnotationSet], list[str]]:
+    """The annotation sets of ``source`` in ``directory`` by image_id, and
+    one error line per file that could not be read or is not one of them."""
     if not Path(directory).is_dir():
         raise ValueError(f"annotation path {directory} is not a directory")
     sets: dict[str, AnnotationSet] = {}
@@ -371,6 +372,9 @@ def _load_dir(directory) -> tuple[dict[str, AnnotationSet], list[str]]:
             continue
         except BAD_INPUT_ERRORS as exc:
             errors.append(f"{path}: {exc}")
+            continue
+        if ann.source != source:
+            errors.append(f"{path}: source is {ann.source!r}, expected {source!r}")
             continue
         if ann.image_id in sets:
             errors.append(f"{path}: duplicate image_id {ann.image_id!r}")
@@ -426,17 +430,19 @@ def batch_verify(
     thresholds are checked, as ``cross_verify`` checks them, before any
     file is read.
 
+    ``dir_a`` holds the top-down files and ``dir_b`` the bottom-up ones.
     Images present on only one side are reported as unpaired and
-    produce no verified output.  Malformed files are recorded as errors
-    and processing continues.  With ``out_dir`` set, one verified JSON
+    produce no verified output.  Malformed files, and files whose
+    ``source`` names the other pipeline, are recorded as errors and
+    processing continues.  With ``out_dir`` set, one verified JSON
     file per image is written as ``<image_id>.json``; an image_id that
     would write outside it raises before any write.  Each file is written
     atomically (``write_text_atomic``).  ``emb.embed`` is called once per
     distinct tag.
     """
     _check_thresholds(iou_gate, sim_threshold)
-    sets_a, errors_a = _load_dir(dir_a)
-    sets_b, errors_b = _load_dir(dir_b)
+    sets_a, errors_a = _load_dir(dir_a, "top_down")
+    sets_b, errors_b = _load_dir(dir_b, "bottom_up")
     shared = sorted(set(sets_a) & set(sets_b))
     unpaired = sorted(set(sets_a) ^ set(sets_b))
     emb = SimpleNamespace(embed=cache(emb.embed))

@@ -2,9 +2,10 @@
 composite objective with two-stage gating.
 
 Boxes are corner-form [x1, y1, x2, y2] float arrays; masks are 2-D
-grids with predictions in [0, 1] and binary ground truth.  Every loss
-returns ``(value, gradient_wrt_prediction)`` and is validated against
-central finite differences in the test suite.
+grids with predictions in [0, 1] and binary ground truth.  Both are
+read through ``numeric.as_finite``, so only finite ints and floats
+pass.  Every loss returns ``(value, gradient_wrt_prediction)`` and is
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import DEFAULT_TEMPERATURE, align_loss
-from .numeric import as_float_matrix, check_numbers, cosine_matrix
+from .numeric import as_finite, as_float_matrix, check_numbers, cosine_matrix
 from .ranking import order_loss
 
 # DETR-family matching-cost convention; the composite objective also
@@ -32,11 +33,9 @@ BCE_CLAMP = 1e-7
 
 
 def as_box(b, name: str = "box") -> np.ndarray:
-    a = np.asarray(b, dtype=np.float64)
+    a = as_finite(b, name, 1)
     if a.shape != (4,):
         raise ValueError(f"{name} must have 4 coordinates, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite coordinates")
     return a
 
 
@@ -160,9 +159,9 @@ def l1_box_loss(pred, gt) -> tuple[float, np.ndarray]:
 
 
 def _as_box_rows(boxes, name: str) -> np.ndarray:
-    a = np.asarray(boxes, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 4 or not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be a finite (n, 4) array, got shape {a.shape}")
+    a = as_finite(boxes, name, 2)
+    if a.shape[1] != 4:
+        raise ValueError(f"{name} must be an (n, 4) array, got shape {a.shape}")
     return a
 
 
@@ -208,13 +207,18 @@ def pairwise_l1(pred, gt) -> np.ndarray:
     return np.abs(p[:, None, :] - _as_box_rows(gt, "gt boxes")[None, :, :]).mean(axis=2)
 
 
+def _as_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction and ground-truth grids through ``as_finite``, of one shape."""
+    p, g = as_finite(pred, "pred mask", 2), as_finite(gt, "gt mask", 2)
+    if p.shape != g.shape:
+        raise ValueError(f"mask shape mismatch: {p.shape} vs {g.shape}")
+    return p, g
+
+
 def dice_loss(pred, gt, eps: float = 1.0) -> tuple[float, np.ndarray]:
     """Soft dice loss 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps)
     with the analytic gradient w.r.t. the prediction grid."""
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    if p.ndim != 2 or p.shape != g.shape:
-        raise ValueError(f"mask shape mismatch: {p.shape} vs {g.shape}")
+    p, g = _as_masks(pred, gt)
     if eps <= 0:
         raise ValueError("eps must be positive")
     num = 2.0 * float((p * g).sum()) + eps
@@ -227,10 +231,7 @@ def dice_loss(pred, gt, eps: float = 1.0) -> tuple[float, np.ndarray]:
 def bce_mask_loss(pred, gt) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy with predictions clamped to
     [1e-7, 1 - 1e-7]; clamped pixels get zero gradient."""
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    if p.ndim != 2 or p.shape != g.shape:
-        raise ValueError(f"mask shape mismatch: {p.shape} vs {g.shape}")
+    p, g = _as_masks(pred, gt)
     clamped = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     loss = -(g * np.log(clamped) + (1.0 - g) * np.log(1.0 - clamped)).mean()
     interior = (p > BCE_CLAMP) & (p < 1.0 - BCE_CLAMP)

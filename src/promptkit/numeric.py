@@ -11,6 +11,7 @@ Everything here operates on float64 and is a pure function of its inputs.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,7 +82,7 @@ def as_finite(x, name: str, ndim: int) -> np.ndarray:
         a = a.astype(np.float64, copy=False)
     except OverflowError:  # a Python int beyond the float range
         a = np.array(np.inf)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -114,6 +115,16 @@ def as_objects(value, name: str) -> list:
         if not isinstance(item, dict):
             raise ValueError(f"{name}[{i}] must be a JSON object")
     return value
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; text that is not JSON
+    raises ``ValueError("<what> <path> is not valid JSON: <reason>")``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def softmax_rows(m) -> np.ndarray:

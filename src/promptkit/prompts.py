@@ -13,13 +13,11 @@ A provider's ``embed(tag)`` returns a unit vector.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .numeric import as_finite, bilinear_sample, seeded_rng, softmax_rows, unit_rows
+from .numeric import as_finite, bilinear_sample, read_json, seeded_rng, softmax_rows, unit_rows
 
 DEFAULT_DIM = 256
 
@@ -262,10 +260,7 @@ class FileEmbeddings:
 
     @classmethod
     def from_file(cls, path, fallback: bool = False) -> "FileEmbeddings":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"embedding file {path} is not valid JSON: {exc}") from exc
+        raw = read_json(path, "embedding file")
         if not isinstance(raw, dict) or not raw:
             raise ValueError(f"embedding file {path} must be a nonempty JSON object")
         table = {}

@@ -317,6 +317,19 @@ class TestFuseDemo:
         # three cross-attention pathways.
         assert len(calls) == 6 * layers
 
+    def test_failed_allocation_gives_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # Raised in process: no test asks numpy for more memory than there is.
+        def out_of_memory(**kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000, 8)")
+
+        monkeypatch.setattr(fusion.FusionState, "seeded", out_of_memory)
+        config = tmp_path / "fuse.json"
+        config.write_text(json.dumps({"dim": 8, "seed": 3, "text_prompts": 10**9}))
+        code, out, err = run_cli(capsys, "fuse-demo", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == ("error: Unable to allocate 7.45 GiB for an array "
+                       "with shape (1000000000, 8)\n")
+
 
 class TestSample:
     def test_json_lines_cover_manifest(self, tmp_path, capsys):
@@ -845,6 +858,16 @@ class TestVerifyUnreadableFiles:
         self.run_with_bad_entry(
             tmp_path, capsys, lambda path: path.write_bytes(b'{"image_id": "\xff"}'))
 
+    def test_source_of_the_other_pipeline(self, tmp_path, capsys):
+        def make_bad(path):
+            # A pair for x on both sides, as cross_verify would be handed it.
+            text = self.annotation_text().replace("top_down", "bottom_up")
+            path.write_text(text)
+            (path.parent.parent / "b" / "x.json").write_text(text)
+
+        error = self.run_with_bad_entry(tmp_path, capsys, make_bad)
+        assert error.endswith(".json: source is 'bottom_up', expected 'top_down'")
+
     def test_unknown_source_without_instances(self, tmp_path, capsys):
         error = self.run_with_bad_entry(tmp_path, capsys, lambda path: path.write_text(json.dumps(
             {"image_id": "x", "width": 8, "height": 8, "source": "sideways", "instances": []})))
@@ -902,6 +925,20 @@ class TestParser:
                 (want_code, fresh.stdout, fresh.stderr), argv
             assert fresh.returncode == want_code
         assert len(built) == 1
+
+
+@pytest.mark.parametrize("command, flag, what, extra", [
+    ("select", "--scores", "scores file", ["--k", "1"]),
+    ("fuse-demo", "--config", "config file", []),
+    ("sample", "--manifest", "manifest file", []),
+])
+def test_json_parse_error_names_the_file(tmp_path, capsys, command, flag, what, extra):
+    path = tmp_path / "input.json"
+    path.write_text("not json")
+    code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {what} {path} is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_import_defers_scipy_optimize():

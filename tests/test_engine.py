@@ -399,7 +399,7 @@ class TestLoadErrors:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coordinate(self, tmp_path, value):
         exc = load_error(tmp_path, [GOOD, {**GOOD, "tag": "b", "box": [0.1, value, 0.3, 0.4]}])
-        assert str(exc) == "box of tag 'b' contains non-finite coordinates"
+        assert str(exc) == "box of tag 'b' contains non-finite entries"
 
     def test_inverted_corners(self, tmp_path):
         exc = load_error(tmp_path, [GOOD, {**GOOD, "tag": "b", "box": [0.1, 0.6, 0.5, 0.5]}])
@@ -438,6 +438,13 @@ class TestLoadErrors:
             assert inst.box.base is again.boxes
             np.testing.assert_array_equal(inst.box, orig.box)
             np.testing.assert_array_equal(row, orig.box)
+
+
+@pytest.mark.parametrize("score", ["0.5", True, None])
+def test_instance_score_must_be_a_number(score):
+    with pytest.raises(ValueError) as excinfo:
+        Instance(np.array([0.0, 0.0, 1.0, 1.0]), "t", score)
+    assert str(excinfo.value) == f"instance score must be numeric, got {score!r}"
 
 
 class TestNonStringTags:

@@ -97,9 +97,9 @@ class TestBoxKernels:
                                           bits(kernel(a, b)[rows][:, cols]))
 
     def test_rejects_malformed_boxes(self, kernel, scalar):
-        with pytest.raises(ValueError, match=r"finite \(n, 4\)"):
+        with pytest.raises(ValueError, match=r"must be an \(n, 4\) array, got shape \(2, 3\)$"):
             kernel(np.zeros((2, 3)), np.zeros((2, 4)))
-        with pytest.raises(ValueError, match=r"finite \(n, 4\)"):
+        with pytest.raises(ValueError, match=r"contains non-finite entries$"):
             kernel(np.zeros((1, 4)), [[0.0, 0.0, np.nan, 1.0]])
 
 

@@ -490,7 +490,7 @@ class TestMatchBoxContract:
 
     @pytest.mark.parametrize("pred_box, target_box, message", [
         ([0.1, 0.1, 0.5], [0.1, 0.1, 0.5, 0.5], "pred box 1 must have 4 coordinates, got shape (3,)"),
-        ([0.1, 0.1, 0.5, 0.5], [0.1, np.nan, 0.5, 0.5], "target box 1 contains non-finite coordinates"),
+        ([0.1, 0.1, 0.5, 0.5], [0.1, np.nan, 0.5, 0.5], "target box 1 contains non-finite entries"),
     ], ids=["short-pred", "non-finite-target"])
     def test_bad_box_is_named_by_side_and_index(self, pred_box, target_box, message):
         good_pred, good_target = self.pair([0.1, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, 0.5])

@@ -8,8 +8,20 @@ import numpy as np
 import pytest
 
 from promptkit.alignment import AlignBatch
+from promptkit.engine import Instance
 from promptkit.fusion import FusionParams, FusionState
-from promptkit.losses import hungarian
+from promptkit.losses import (
+    Prediction,
+    Target,
+    bce_mask_loss,
+    dice_loss,
+    giou_loss,
+    hungarian,
+    iou,
+    match_and_total_loss,
+    pairwise_iou,
+    pairwise_l1,
+)
 from promptkit.numeric import (
     as_finite,
     compare_grads,
@@ -57,6 +69,16 @@ ENTRY_POINTS = [
     ("AlignBatch", "visual embedding matrix", 2, (2, 2),
      lambda x, _: AlignBatch(visual=x, text=np.eye(2), categories=("a", "b"),
                              dataset_ids=("d", "d")), None),
+    ("iou", "second box", 1, (4,), lambda x, _: iou(_ok(4), x), None),
+    ("giou_loss", "pred box", 1, (4,), lambda x, _: giou_loss(x, _ok(4)), None),
+    ("pairwise_iou", "second boxes", 2, (2, 4), lambda x, _: pairwise_iou(_ok((2, 4)), x), None),
+    ("pairwise_l1", "pred boxes", 2, (2, 4), lambda x, _: pairwise_l1(x, _ok((2, 4))), None),
+    ("Instance", "box of tag 't'", 1, (4,), lambda x, _: Instance(x, "t", 0.5), None),
+    ("match_and_total_loss", "pred box 0", 1, (4,),
+     lambda x, _: match_and_total_loss([Prediction(box=x, embed=_ok(3))],
+                                       [Target(box=_ok(4), embed=_ok(3))]), None),
+    ("dice_loss", "pred mask", 2, (2, 2), lambda x, _: dice_loss(x, _ok((2, 2))), None),
+    ("bce_mask_loss", "gt mask", 2, (2, 2), lambda x, _: bce_mask_loss(_ok((2, 2)), x), None),
 ]
 
 

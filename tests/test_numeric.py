@@ -283,10 +283,6 @@ def test_numeric_is_the_only_module_that_computes_a_length():
     assert users == []
 
 
-# The box rules keep their own contract and messages.
-BOX_RULES = {"as_box", "validate_box", "validate_boxes", "_as_box_rows"}
-
-
 def test_numeric_is_the_only_module_that_checks_finiteness():
     users = []
     for path in sorted(SRC.rglob("*.py")):
@@ -296,8 +292,7 @@ def test_numeric_is_the_only_module_that_checks_finiteness():
         for node in ast.parse(text).body:
             if "isfinite" in (ast.get_source_segment(text, node) or ""):
                 users.append((path.name, getattr(node, "name", type(node).__name__)))
-    assert [(module, name) for module, name in users
-            if not (module == "losses.py" and name in BOX_RULES)] == []
+    assert users == []
 
 
 def _calls_to(tree, name):
