@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -119,6 +120,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     report = run_gradcheck(args.loss, args.n, args.seed, eps=args.eps)
     passed = report.passed(args.tol)
     _emit({

@@ -12,17 +12,19 @@ Annotation JSON schema (one file per image and pipeline):
 
     {"image_id": str, "width": int, "height": int,
      "source": "top_down" | "bottom_up",
-     "instances": [{"box": [x1, y1, x2, y2], "tag": str, "score": float}]}
+     "instances": [{"box": [x1, y1, x2, y2], "tag": str, "score": float,
+                    "similarity": float, "alias_tag": str}]}
 
-Boxes are normalized corner-form floats.  Verified output instances
-additionally carry "similarity" and, when tags differ, "alias_tag".
+Boxes are normalized corner-form floats and scores lie in [0, 1].
+"similarity" (a number in [-1, 1]) and "alias_tag" (a nonempty string)
+are optional and checked when present.  Verified output instances carry
+"similarity" and, when tags differ, "alias_tag".
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import secrets
 import stat
@@ -55,6 +57,13 @@ def missing_key_message(where, key) -> str:
     return f'{where} has no "{key}" key'
 
 
+def _check_range(value, name: str, lo: int, hi: int) -> None:
+    """``check_number``, then ``lo <= value <= hi``; NaN lies in no range."""
+    check_number(value, name)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One annotated object: box, tag, confidence; its set holds the source."""
@@ -70,9 +79,14 @@ class Instance:
         object.__setattr__(self, "box", validate_box(self.box, f"box of tag {self.tag!r}"))
         if not self.tag:
             raise ValueError("instance tag must be nonempty")
-        check_number(self.score, "instance score")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"instance score must lie in [0, 1], got {self.score}")
+        _check_range(self.score, "instance score", 0, 1)
+        if not isinstance(self.tag, str):
+            raise ValueError(f"instance tag must be a string, got {self.tag!r}")
+        if self.similarity is not None:
+            _check_range(self.similarity, "instance similarity", -1, 1)
+        alias = self.alias_tag
+        if alias is not None and not (isinstance(alias, str) and alias):
+            raise ValueError(f"instance alias_tag must be a nonempty string, got {alias!r}")
 
     @classmethod
     def _row(cls, box, tag, score, similarity=None, alias_tag=None) -> "Instance":
@@ -110,6 +124,10 @@ class AnnotationSet:
     instances: tuple[Instance, ...]
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise ValueError(f"image_id must be a string, got {self.image_id!r}")
+        object.__setattr__(self, "width", as_int(self.width, "width"))
+        object.__setattr__(self, "height", as_int(self.height, "height"))
         if not self.image_id:
             raise ValueError("image_id must be nonempty")
         if self.width < 1 or self.height < 1:
@@ -129,13 +147,10 @@ class AnnotationSet:
             raise ValueError("annotation must be a JSON object")
         source = obj["source"]
         boxes, instances = _instance_rows(as_objects(obj["instances"], "instances"))
-        image_id = obj["image_id"]
-        if not isinstance(image_id, str):
-            raise ValueError(f"image_id must be a string, got {image_id!r}")
         ann = cls(
-            image_id=image_id,
-            width=as_int(obj["width"], "width"),
-            height=as_int(obj["height"], "height"),
+            image_id=obj["image_id"],
+            width=obj["width"],
+            height=obj["height"],
             source=source,
             instances=instances,
         )
@@ -161,18 +176,18 @@ class AnnotationSet:
         written from a fixed template rather than by the generic encoder."""
         instances = ",\n".join(map(_instance_json, self.instances, self.boxes.tolist()))
         return "".join((
-            '{\n  "height": ', _json_value(self.height, 1),
-            ',\n  "image_id": ', _json_value(self.image_id, 1),
+            '{\n  "height": ', int.__repr__(self.height),
+            ',\n  "image_id": ', _encode_str(self.image_id),
             ',\n  "instances": ', f"[\n{instances}\n  ]" if instances else "[]",
-            ',\n  "source": ', _json_value(self.source, 1),
-            ',\n  "width": ', _json_value(self.width, 1),
+            ',\n  "source": ', _encode_str(self.source),
+            ',\n  "width": ', int.__repr__(self.width),
             "\n}\n",
         ))
 
 
 def _instance_rows(items: list) -> tuple[np.ndarray, tuple[Instance, ...]]:
     """The instances of a file's ``items`` as rows of one (n, 4) box array,
-    each check ``_checked_instance`` makes done once over the whole column."""
+    each check ``Instance`` makes done once over the whole column."""
     try:
         coords = [item["box"] for item in items]
         boxes = validate_boxes(np.array(coords, dtype=np.float64) if items else np.empty((0, 4)))
@@ -180,9 +195,13 @@ def _instance_rows(items: list) -> tuple[np.ndarray, tuple[Instance, ...]]:
         scores = [item["score"] for item in items]
         similarities = [item.get("similarity") for item in items]
         alias_tags = [item.get("alias_tag") for item in items]
-        valid = (all(isinstance(tag, str) and tag for tag in tags)
-                 and set(map(type, chain(chain.from_iterable(coords), scores))) <= PLAIN_NUMBER_TYPES
-                 and all(0.0 <= score <= 1.0 for score in scores))
+        given_sims = [s for s in similarities if s is not None]
+        given_aliases = [a for a in alias_tags if a is not None]
+        numbers = chain(chain.from_iterable(coords), scores, given_sims)
+        valid = (all(isinstance(tag, str) and tag for tag in chain(tags, given_aliases))
+                 and set(map(type, numbers)) <= PLAIN_NUMBER_TYPES
+                 and all(0.0 <= score <= 1.0 for score in scores)
+                 and all(-1.0 <= s <= 1.0 for s in given_sims))
     except Exception:  # the walk below raises it again, for the right instance
         valid = False
     if valid:
@@ -190,63 +209,26 @@ def _instance_rows(items: list) -> tuple[np.ndarray, tuple[Instance, ...]]:
                                 similarities, alias_tags))
     # Some instance is invalid: build them one at a time, so that the first
     # bad one in file order raises its own message.
-    instances = tuple(map(_checked_instance, items))
+    instances = tuple(Instance(item["box"], item["tag"], item["score"],
+                               similarity=item.get("similarity"), alias_tag=item.get("alias_tag"))
+                      for item in items)
     return np.array([inst.box for inst in instances]).reshape(-1, 4), instances
 
 
-def _checked_instance(item: dict) -> Instance:
-    """``item`` as an ``Instance`` with a string tag: the constructor's
-    checks in its order (box, nonempty tag, score), then the tag's type,
-    which the constructor leaves open."""
-    inst = Instance(
-        box=item["box"],
-        tag=item["tag"],
-        score=item["score"],
-        similarity=item.get("similarity"),
-        alias_tag=item.get("alias_tag"),
-    )
-    if not isinstance(inst.tag, str):
-        raise ValueError(f"instance tag must be a string, got {inst.tag!r}")
-    return inst
-
-
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_value(value, depth: int) -> str:
-    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
-    ``depth`` levels deep."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _instance_json(inst: Instance, box: list[float]) -> str:
     """``inst.to_dict()`` as ``AnnotationSet.to_json`` writes it; ``box``
     holds its validated, finite coordinates."""
     alias = "" if inst.alias_tag is None else \
-        f'\n      "alias_tag": {_json_value(inst.alias_tag, 3)},'
+        f'\n      "alias_tag": {_encode_str(inst.alias_tag)},'
     similarity = "" if inst.similarity is None else \
-        f'\n      "similarity": {_json_float(float(inst.similarity))},'
+        f'\n      "similarity": {float(inst.similarity)!r},'
     x1, y1, x2, y2 = map(float.__repr__, box)
     return (f'    {{{alias}\n      "box": [\n        {x1},\n        {y1},\n        {x2},\n'
-            f'        {y2}\n      ],\n      "score": {_json_float(float(inst.score))},'
-            f'{similarity}\n      "tag": {_json_value(inst.tag, 3)}\n    }}')
+            f'        {y2}\n      ],\n      "score": {float(inst.score)!r},'
+            f'{similarity}\n      "tag": {_encode_str(inst.tag)}\n    }}')
 
 
 def _retention_rates(retained: int, input_a: int, input_b: int) -> dict[str, float]:
@@ -287,12 +269,10 @@ class VerificationReport:
 
 
 def _check_thresholds(iou_gate: float, sim_threshold: float) -> None:
-    """Raise ``ValueError`` unless ``iou_gate`` lies in [0, 1] and
-    ``sim_threshold`` in [-1, 1]; NaN lies in neither."""
-    if not 0.0 <= iou_gate <= 1.0:
-        raise ValueError(f"iou_gate must lie in [0, 1], got {iou_gate}")
-    if not -1.0 <= sim_threshold <= 1.0:
-        raise ValueError(f"sim_threshold must lie in [-1, 1], got {sim_threshold}")
+    """Raise ``ValueError`` unless ``iou_gate`` is a number in [0, 1] and
+    ``sim_threshold`` one in [-1, 1]."""
+    _check_range(iou_gate, "iou_gate", 0, 1)
+    _check_range(sim_threshold, "sim_threshold", -1, 1)
 
 
 def cross_verify(

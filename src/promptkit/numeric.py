@@ -118,12 +118,13 @@ def as_objects(value, name: str) -> list:
 
 
 def read_json(path, what: str):
-    """The JSON document in the file at ``path``; text that is not JSON
-    raises ``ValueError("<what> <path> is not valid JSON: <reason>")``."""
+    """The JSON document in the file at ``path``; text that is not JSON, or
+    is nested too deep to parse, raises
+    ``ValueError("<what> <path> is not valid JSON: <reason>")``."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -248,8 +249,8 @@ def finite_diff_grad(
     offending coordinate.
     """
     p0 = as_finite(p, "parameter vector", 1)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     grad = np.zeros_like(p0)
     step = np.zeros_like(p0)
     for i in range(p0.size):

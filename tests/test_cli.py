@@ -163,6 +163,16 @@ class TestGradcheck:
         assert json.loads(out)["passed"] is False
         assert "gradcheck failed" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
+        ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"), ("--eps", "-1"),
+    ])
+    def test_tol_and_eps_must_be_positive_and_finite(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "giou", "--n", "4",
+                                 "--seed", "1", flag, value)
+        assert (code, out, err) == \
+            (1, "", f"error: {flag[2:]} must be positive and finite, got {float(value)}\n")
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("PROMPTKIT_SEED", "123")
         code, out, _ = run_cli(capsys, "gradcheck", "--loss", "l1", "--n", "2")
@@ -939,6 +949,20 @@ def test_json_parse_error_names_the_file(tmp_path, capsys, command, flag, what, 
     assert (code, out) == (1, "")
     assert err == (f"error: {what} {path} is not valid JSON: "
                    "Expecting value: line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("command, flag, what, extra", [
+    ("select", "--scores", "scores file", ["--k", "1"]),
+    ("sample", "--manifest", "manifest file", []),
+])
+def test_json_nested_too_deep_names_the_file(tmp_path, capsys, command, flag, what, extra):
+    path = tmp_path / "input.json"
+    path.write_text(deeply_nested())
+    with pytest.raises(RecursionError) as parse:
+        json.loads(deeply_nested())
+    code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} {path} is not valid JSON: {parse.value}\n"
 
 
 def test_import_defers_scipy_optimize():

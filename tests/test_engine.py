@@ -282,9 +282,14 @@ COORD_PAIR = st.tuples(
     st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
 ).map(sorted)
 BOX = st.tuples(COORD_PAIR, COORD_PAIR).map(lambda xy: [xy[0][0], xy[1][0], xy[0][1], xy[1][1]])
-# Similarities are not checked on load, so a file may carry NaN, +-inf
-# or a numeric string; to_dict turns each into a float.
-SIMILARITY = st.one_of(st.none(), st.floats(), st.floats().map(repr))
+# Every similarity an instance accepts: None, a float in [-1, 1] (signed
+# zeros and subnormals included) or a JSON integer in that range.
+SIMILARITY = st.one_of(st.none(), st.floats(-1.0, 1.0),
+                       st.sampled_from([-0.0, 5e-324, -5e-324, 1e-300, -1, 0, 1]))
+# What SIMILARITY leaves out: NaN, +-inf, floats outside [-1, 1] and
+# numeric strings, each refused by name.
+BAD_SIMILARITY = st.one_of(st.floats().filter(lambda x: not -1.0 <= x <= 1.0),
+                           st.floats().map(repr))
 
 
 @st.composite
@@ -337,20 +342,11 @@ class TestTemplateWriter:
             verified, _ = cross_verify(a, b, emb, iou_gate=0.0, sim_threshold=-1.0)
             assert verified.to_json() == dumps_oracle(verified)
 
-    @pytest.mark.parametrize("similarity", [float("nan"), float("inf"), float("-inf"), -0.0,
-                                            "nan", "inf", "-Infinity", "1e-300"])
+    @pytest.mark.parametrize("similarity", [-0.0, 5e-324, 1e-300])
     def test_special_similarities_match_json_dumps(self, similarity):
         doc = {"image_id": "img", "width": 4, "height": 3, "source": "top_down",
                "instances": [{**GOOD, "similarity": similarity}]}
         ann = AnnotationSet.from_dict(doc)
-        assert ann.to_json() == dumps_oracle(ann)
-
-    def test_non_string_values_match_json_dumps(self):
-        ann = AnnotationSet("img", 4, 3, "top_down", (
-            Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 1,
-                     similarity=float("-inf"), alias_tag=[1, {"a": True}]),
-            Instance(np.array([0.0, 0.0, 1.0, 1.0]), True, 0, similarity=1, alias_tag=2.5),
-        ))
         assert ann.to_json() == dumps_oracle(ann)
 
 
@@ -465,8 +461,10 @@ class TestNonStringTags:
         exc = load_error(tmp_path, [{**GOOD, "tag": 0}])
         assert str(exc) == "instance tag must be nonempty"
 
-    def test_constructor_stays_permissive(self):
-        assert Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 0.5).tag == 7
+    def test_constructor_refuses_them(self):
+        with pytest.raises(ValueError) as excinfo:
+            Instance(np.array([0.0, 0.0, 1.0, 1.0]), 7, 0.5)
+        assert str(excinfo.value) == "instance tag must be a string, got 7"
 
     def test_hash_fallback_run_records_the_file(self, tmp_path):
         dir_a, dir_b = write_fixture_dirs(tmp_path, make_annotation_fixture(2, seed=24))
@@ -478,6 +476,87 @@ class TestNonStringTags:
         result = batch_verify(dir_a, dir_b, HashEmbeddings(dim=16))
         assert result.errors == (f"{dir_b / 'bad.json'}: instance tag must be a string, got 5",)
         assert len(result.reports) == 2
+
+
+BAD_FIELDS = [
+    pytest.param({"similarity": "abc"}, "instance similarity must be numeric, got 'abc'",
+                 id="similarity-abc"),
+    pytest.param({"similarity": True}, "instance similarity must be numeric, got True",
+                 id="similarity-true"),
+    pytest.param({"similarity": 2.0}, "instance similarity must lie in [-1, 1], got 2.0",
+                 id="similarity-2.0"),
+    pytest.param({"similarity": float("nan")}, "instance similarity must lie in [-1, 1], got nan",
+                 id="similarity-NaN"),
+    pytest.param({"similarity": float("inf")}, "instance similarity must lie in [-1, 1], got inf",
+                 id="similarity-Infinity"),
+    pytest.param({"similarity": float("-inf")},
+                 "instance similarity must lie in [-1, 1], got -inf", id="similarity-minus-Infinity"),
+    pytest.param({"similarity": "nan"}, "instance similarity must be numeric, got 'nan'",
+                 id="similarity-string-nan"),
+    pytest.param({"similarity": "inf"}, "instance similarity must be numeric, got 'inf'",
+                 id="similarity-string-inf"),
+    pytest.param({"similarity": "-Infinity"},
+                 "instance similarity must be numeric, got '-Infinity'",
+                 id="similarity-string-minus-Infinity"),
+    pytest.param({"alias_tag": 5}, "instance alias_tag must be a nonempty string, got 5",
+                 id="alias_tag-5"),
+    pytest.param({"alias_tag": ""}, "instance alias_tag must be a nonempty string, got ''",
+                 id="alias_tag-empty"),
+    pytest.param({"alias_tag": [1]}, "instance alias_tag must be a nonempty string, got [1]",
+                 id="alias_tag-list"),
+    pytest.param({"alias_tag": 2.5}, "instance alias_tag must be a nonempty string, got 2.5",
+                 id="alias_tag-2.5"),
+]
+
+
+class TestRefusedFields:
+    """``similarity`` and ``alias_tag`` are checked where they are held."""
+
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS)
+    def test_refused_at_load(self, tmp_path, fields, message):
+        dir_a, dir_b = write_fixture_dirs(tmp_path, make_annotation_fixture(1, seed=29))
+        bad = {"image_id": "bad", "width": 8, "height": 8, "source": "top_down",
+               "instances": [GOOD, {**GOOD, **fields}]}
+        (dir_a / "bad.json").write_text(json.dumps(bad))
+        (dir_b / "bad.json").write_text(json.dumps({**bad, "source": "bottom_up",
+                                                    "instances": [GOOD]}))
+        result = batch_verify(dir_a, dir_b, HashEmbeddings(dim=16))
+        assert result.errors == (f"{dir_a / 'bad.json'}: {message}",)
+        assert [r.image_id for r in result.reports] == ["img0000"]
+
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS)
+    def test_refused_at_construction(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            Instance(np.array([0.1, 0.1, 0.5, 0.5]), "a", 0.9, **fields)
+        assert str(excinfo.value) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(BAD_SIMILARITY)
+    def test_similarities_outside_the_strategy_are_refused(self, similarity):
+        message = (f"instance similarity must be numeric, got {similarity!r}"
+                   if isinstance(similarity, str) else
+                   f"instance similarity must lie in [-1, 1], got {similarity}")
+        doc = {"image_id": "img", "width": 4, "height": 3, "source": "top_down",
+               "instances": [GOOD, {**GOOD, "similarity": similarity}]}
+        for build in (lambda: AnnotationSet.from_dict(doc),
+                      lambda: Instance(np.array(GOOD["box"]), "a", 0.9, similarity=similarity)):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_set_fields_are_checked_where_held(self):
+        with pytest.raises(ValueError) as excinfo:
+            AnnotationSet("img", "4", 3, "top_down", ())
+        assert str(excinfo.value) == "width must be an integer, got '4'"
+        ann = AnnotationSet("img", 4.0, 3, "top_down", ())
+        assert (type(ann.width), ann.width) == (int, 4)
+        assert ann.to_json() == dumps_oracle(ann)
+
+    def test_threshold_type_is_checked(self):
+        a, b = single_instance_sets()
+        with pytest.raises(ValueError) as excinfo:
+            cross_verify(a, b, ConstantEmbeddings(8), iou_gate="0.5")
+        assert str(excinfo.value) == "iou_gate must be numeric, got '0.5'"
 
 
 def retained_json(a, b, emb, gate, threshold):

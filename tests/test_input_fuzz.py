@@ -117,14 +117,22 @@ BOXES = [[0.1, 0.1, 0.5, 0.5], [0.2, 0.3, 0.6, 0.9], [0.0, 0.0, 1.0, 1.0]]
 
 @st.composite
 def annotation_docs(draw, source, tags=("cat", "dog")):
-    n = draw(st.integers(1, 3))
+    def instance():
+        item = {"box": draw(st.sampled_from(BOXES)), "tag": draw(st.sampled_from(tags)),
+                "score": draw(st.floats(0.0, 1.0))}
+        # The optional fields, so that the fuzz replaces them too.
+        if draw(st.booleans()):
+            item["similarity"] = draw(st.floats(-1.0, 1.0))
+        if draw(st.booleans()):
+            item["alias_tag"] = draw(st.sampled_from(tags))
+        return item
+
     return {
         "image_id": "img",
         "width": draw(st.integers(1, 40)),
         "height": draw(st.integers(1, 40)),
         "source": source,
-        "instances": [{"box": draw(st.sampled_from(BOXES)), "tag": draw(st.sampled_from(tags)),
-                       "score": draw(st.floats(0.0, 1.0))} for _ in range(n)],
+        "instances": [instance() for _ in range(draw(st.integers(1, 3)))],
     }
 
 
