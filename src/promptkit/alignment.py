@@ -61,16 +61,20 @@ class AlignResult:
     grad_negative: np.ndarray | None = None
 
 
-def _forward(visual, text, temperature: float, negative_visual):
+def _forward(visual, text, temperature: float, negative_visual, stacks: bool = False):
     """Check the inputs and compute the loss and what its gradients need:
     the inputs as float64 arrays, the text-to-visual keys (negatives
     stacked after the K visual rows) and both directions' row
-    log-softmax of the temperature-scaled similarities."""
+    log-softmax of the temperature-scaled similarities.
+
+    With ``stacks``, ``visual`` and ``text`` may be (..., K, d) stacks of
+    batches (negatives then carry the same leading dims), and the loss
+    has one entry per batch, each the 2-D loss of that slice."""
     v = np.asarray(visual, dtype=np.float64)
     t = np.asarray(text, dtype=np.float64)
-    if v.ndim != 2 or t.ndim != 2 or v.shape != t.shape:
+    if (v.ndim < 2 if stacks else v.ndim != 2) or v.shape != t.shape:
         raise ValueError(f"visual/text must be matching (K, d) arrays, got {v.shape} vs {t.shape}")
-    k = v.shape[0]
+    k = v.shape[-2]
     if k < 2:
         raise ValueError("contrastive alignment needs K >= 2 pairs")
     if temperature <= 0:
@@ -78,17 +82,25 @@ def _forward(visual, text, temperature: float, negative_visual):
     keys = v
     if negative_visual is not None:
         neg = np.asarray(negative_visual, dtype=np.float64)
-        if neg.ndim != 2 or neg.shape[1] != v.shape[1]:
-            raise ValueError(f"negatives must be (M, {v.shape[1]}), got {neg.shape}")
-        keys = np.vstack([v, neg])
+        lead = v.shape[:-2]
+        if neg.ndim != v.ndim or neg.shape[:-2] != lead or neg.shape[-1] != v.shape[-1]:
+            dims = "".join(f"{n}, " for n in lead)
+            raise ValueError(f"negatives must be ({dims}M, {v.shape[-1]}), got {neg.shape}")
+        keys = np.concatenate([v, neg], axis=-2)
 
     inv_temp = 1.0 / temperature
     # Mean softmax cross-entropy of query i against every key, with key i
     # as its positive, in each direction.
-    log_p1 = log_softmax_rows((v @ t.T) * inv_temp)
-    log_p2 = log_softmax_rows((t @ keys.T) * inv_temp)
-    loss = 0.5 * (-np.trace(log_p1[:, :k]) / k + -np.trace(log_p2[:, :k]) / k)
+    log_p1 = log_softmax_rows((v @ t.swapaxes(-1, -2)) * inv_temp)
+    log_p2 = log_softmax_rows((t @ keys.swapaxes(-1, -2)) * inv_temp)
+    loss = 0.5 * (-_diagonal_sum(log_p1, k) / k + -_diagonal_sum(log_p2, k) / k)
     return loss, v, t, keys, inv_temp, log_p1, log_p2
+
+
+def _diagonal_sum(log_p: np.ndarray, k: int):
+    """Sum of each matrix's diagonal over its first ``k`` columns; a
+    contiguous copy sums as ``np.trace`` does on one matrix."""
+    return np.ascontiguousarray(np.diagonal(log_p[..., :k], axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _logit_grad(log_p) -> np.ndarray:
@@ -101,10 +113,13 @@ def _logit_grad(log_p) -> np.ndarray:
 
 
 def align_loss_value(visual, text, temperature: float = DEFAULT_TEMPERATURE,
-                     negative_visual=None) -> float:
+                     negative_visual=None):
     """``align_loss(...).loss`` without the gradients: the same checks,
-    the same errors and the same float, bit for bit."""
-    return _forward(visual, text, temperature, negative_visual)[0]
+    the same errors and the same float, bit for bit.
+
+    Also takes (m, K, d) stacks of batches, with (m, M, d) negatives, and
+    then returns the (m,) array of each slice's loss, bit for bit."""
+    return _forward(visual, text, temperature, negative_visual, stacks=True)[0]
 
 
 def align_loss(visual, text, temperature: float = DEFAULT_TEMPERATURE,

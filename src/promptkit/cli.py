@@ -22,8 +22,8 @@ import numpy as np
 
 from . import engine, fusion
 from .alignment import SamplerManifest, sample_batches
-from .gradcheck import GRADCHECK_LOSSES, run_gradcheck
-from .numeric import DEFAULT_FD_EPS, as_finite, as_int, read_json
+from .gradcheck import GRADCHECK_LOSSES, GRADCHECK_N_RANGES, run_gradcheck
+from .numeric import DEFAULT_FD_EPS, as_count, as_finite, as_int, read_json
 from .prompts import DEFAULT_DIM, FileEmbeddings, HashEmbeddings
 from .ranking import kendall_tau, order_loss, select_queries
 
@@ -144,10 +144,8 @@ def _config_count(cfg: dict, key: str, default, least: int) -> int:
     """``cfg[key]`` (or ``default`` when given and the key is absent) as an
     int; a value that is not a JSON integer or lies below ``least`` raises
     an error naming the key."""
-    value = as_int(_required(cfg, key, "config") if default is None else cfg.get(key, default), key)
-    if value < least:
-        raise ValueError(f"{key} must be >= {least}, got {value}")
-    return value
+    return as_count(_required(cfg, key, "config") if default is None else cfg.get(key, default),
+                    key, least)
 
 
 def _cmd_fuse_demo(args) -> int:
@@ -252,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="analytic vs central-difference gradient check")
     p.add_argument("--loss", required=True, choices=GRADCHECK_LOSSES)
     p.add_argument("--n", type=int, default=16,
-                   help="scenario size: score count (order), pair count (align/boxes), grid side (masks)")
+                   help="scenario size: score count (order), pair count (align/boxes), grid side "
+                   "(masks); accepted: " + ", ".join(f"{loss} {least}-{most}" for loss, (least, most)
+                                                     in GRADCHECK_N_RANGES.items()))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=DEFAULT_FD_EPS)

@@ -134,6 +134,15 @@ class AnnotationSet:
             raise ValueError("image dimensions must be positive")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+        try:
+            instances = tuple(self.instances)
+        except TypeError:
+            raise ValueError(f"instances must be a sequence of Instance, "
+                             f"got {self.instances!r}") from None
+        for i, inst in enumerate(instances):
+            if not isinstance(inst, Instance):
+                raise ValueError(f"instances[{i}] must be an Instance, got {inst!r}")
+        object.__setattr__(self, "instances", instances)
 
     @cached_property
     def boxes(self) -> np.ndarray:

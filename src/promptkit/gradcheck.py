@@ -1,9 +1,10 @@
 """Seeded gradient-check scenarios for every differentiable loss.
 
 Each scenario packs a loss's inputs into one flat parameter vector,
-exposes the loss as a scalar function of that vector, and returns the
-analytic gradient at the base point.  ``run_gradcheck`` then compares
-the analytic gradient against the central-difference oracle.
+exposes the loss as a vectorised function of that vector (rows of
+parameter vectors in, one value per row out), and returns the analytic
+gradient at the base point.  ``run_gradcheck`` then compares the
+analytic gradient against the central-difference oracle.
 
 Scenario generators keep inputs away from non-smooth points (coordinate
 ties for box losses, the clamp boundary for BCE) and away from softmax/
@@ -20,6 +21,7 @@ from .losses import bce_mask_loss, dice_loss, giou_loss, l1_box_loss
 from .numeric import (
     DEFAULT_FD_EPS,
     GradCheckReport,
+    as_count,
     compare_grads,
     finite_diff_grad,
     seeded_rng,
@@ -71,13 +73,16 @@ def _random_box_pair(rng) -> tuple[np.ndarray, np.ndarray]:
 
 def _box_scenario(loss_fn, n: int, seed: int):
     rng = seeded_rng(seed)
-    pairs = [_random_box_pair(rng) for _ in range(max(1, n))]
+    pairs = [_random_box_pair(rng) for _ in range(n)]
     gts = [gt for _, gt in pairs]
     p0 = np.concatenate([pred for pred, _ in pairs])
 
-    def f(p):
+    def scalar(p):
         boxes = p.reshape(-1, 4)
         return sum(loss_fn(box, gt)[0] for box, gt in zip(boxes, gts))
+
+    def f(points):
+        return [scalar(p) for p in points]
 
     analytic = np.concatenate([loss_fn(pred, gt)[1] for pred, gt in pairs])
     return p0, f, analytic
@@ -85,14 +90,13 @@ def _box_scenario(loss_fn, n: int, seed: int):
 
 def _mask_scenario(loss_fn, n: int, seed: int):
     rng = seeded_rng(seed)
-    side = max(2, n)
-    pred = rng.uniform(0.2, 0.8, size=(side, side))
-    gt = rng.integers(0, 2, size=(side, side)).astype(np.float64)
+    pred = rng.uniform(0.2, 0.8, size=(n, n))
+    gt = rng.integers(0, 2, size=(n, n)).astype(np.float64)
     gt[0, 0] = 1.0  # at least one positive pixel
     p0 = pred.ravel()
 
-    def f(p):
-        return loss_fn(p.reshape(side, side), gt)[0]
+    def f(points):
+        return [loss_fn(p.reshape(n, n), gt)[0] for p in points]
 
     analytic = loss_fn(pred, gt)[1].ravel()
     return p0, f, analytic
@@ -100,13 +104,12 @@ def _mask_scenario(loss_fn, n: int, seed: int):
 
 def _order_scenario(n: int, seed: int):
     rng = seeded_rng(seed)
-    size = max(2, n)
-    a = ORDER_SCALE * rng.standard_normal(size)
-    b = ORDER_SCALE * rng.standard_normal(size)
+    a = ORDER_SCALE * rng.standard_normal(n)
+    b = ORDER_SCALE * rng.standard_normal(n)
     p0 = np.concatenate([a, b])
 
-    def f(p):
-        return order_loss(p[:size], p[size:]).loss
+    def f(points):
+        return [order_loss(p[:n], p[n:]).loss for p in points]
 
     res = order_loss(a, b)
     return p0, f, np.concatenate([res.grad_text, res.grad_visual])
@@ -114,16 +117,16 @@ def _order_scenario(n: int, seed: int):
 
 def _align_scenario(n: int, seed: int):
     rng = seeded_rng(seed)
-    k = max(2, n)
-    v = unit_rows(rng.standard_normal((k, ALIGN_DIM)), "a visual row")
-    t = unit_rows(rng.standard_normal((k, ALIGN_DIM)), "a text row")
+    v = unit_rows(rng.standard_normal((n, ALIGN_DIM)), "a visual row")
+    t = unit_rows(rng.standard_normal((n, ALIGN_DIM)), "a text row")
     p0 = np.concatenate([v.ravel(), t.ravel()])
-    split = k * ALIGN_DIM
+    split = n * ALIGN_DIM
 
-    def f(p):
+    def f(points):
+        # The whole chunk as one stack of (n, ALIGN_DIM) batches.
         return align_loss_value(
-            p[:split].reshape(k, ALIGN_DIM),
-            p[split:].reshape(k, ALIGN_DIM),
+            points[:, :split].reshape(-1, n, ALIGN_DIM),
+            points[:, split:].reshape(-1, n, ALIGN_DIM),
             temperature=ALIGN_TEMPERATURE,
         )
 
@@ -142,16 +145,24 @@ _SCENARIOS = {
     "bce": lambda n, seed: _mask_scenario(bce_mask_loss, n, seed),
 }
 GRADCHECK_LOSSES = tuple(_SCENARIOS)
+# Loss name -> the least and the most n its scenario takes.  A box
+# scenario needs one pair, the others two scores, pairs or pixels a side.
+# The oracle's work grows as n**2 (boxes), n**3 (order, align) or n**4 (masks);
+# each ceiling keeps one check to at most about 4 s on a 2-core x86 machine.
+GRADCHECK_N_RANGES = {"order": (2, 500), "align": (2, 128), "giou": (1, 150), "l1": (1, 150),
+                      "dice": (2, 100), "bce": (2, 100)}
 
 
 def build_scenario(loss: str, n: int, seed: int):
-    """Return (base parameters, scalar function, analytic gradient).
+    """Return (base parameters, vectorised function, analytic gradient).
 
     Deterministic in (loss, n, seed); reseeds until every analytic
-    gradient coordinate clears the measurability floor.
+    gradient coordinate clears the measurability floor.  An ``n`` outside
+    ``GRADCHECK_N_RANGES[loss]`` raises ``ValueError`` before any work.
     """
     if loss not in _SCENARIOS:
         raise ValueError(f"unknown loss {loss!r}; expected one of {GRADCHECK_LOSSES}")
+    n = as_count(n, f"n for {loss}", *GRADCHECK_N_RANGES[loss])
     attempt_seed = seed  # unwrapped, so that seeded_rng rejects one outside [0, 2**64)
     for _ in range(100):
         p0, f, analytic = _SCENARIOS[loss](n, attempt_seed)

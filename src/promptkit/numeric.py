@@ -25,6 +25,9 @@ REL_ERR_FLOOR = 1e-8
 # float64 round-off (O(1e-16 / eps)).
 DEFAULT_FD_EPS = 1e-5
 
+# Entries of one chunk of central-difference points (512 KiB of float64).
+_FD_CHUNK_ENTRIES = 2**16
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return a fresh deterministic generator for an explicit seed in
@@ -106,6 +109,17 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_count(value, name: str, least: int, most: int | None = None) -> int:
+    """``as_int``, then ``least <= value <= most`` (no ceiling when ``most``
+    is None); a value out of range raises ``ValueError`` naming ``name``."""
+    value = as_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
+    return value
+
+
 def as_objects(value, name: str) -> list:
     """``value`` when it is a JSON list of JSON objects, else ``ValueError``
     naming ``name``, or ``name[i]`` for the first entry that is no object."""
@@ -145,10 +159,11 @@ def softmax_rows(m) -> np.ndarray:
 
 
 def log_softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a finite 2-D float array, max-shifted like
+    """Log-softmax along the last axis of a finite float array (the rows of
+    a matrix, or of each matrix in a stack), max-shifted like
     ``softmax_rows`` but unchecked: it runs inside gradient-check loops."""
-    shifted = m - m.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = m - m.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _scaled_rows(x: np.ndarray) -> np.ndarray:
@@ -235,32 +250,48 @@ def bilinear_sample(level: np.ndarray, x: float, y: float) -> np.ndarray:
 
 
 def finite_diff_grad(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     p,
     eps: float = DEFAULT_FD_EPS,
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
+    """Central-difference gradient of a vectorised scalar function.
 
-    Returns (f(p + eps*e_i) - f(p - eps*e_i)) / (2*eps) per coordinate.
-    This is the independent oracle against which all analytic gradients
-    in the package are checked; it must never share code with them.
+    ``f`` takes an (m, P) array whose rows are parameter vectors and
+    returns their m values.  The 2P points p + eps*e_i and p - eps*e_i
+    are sent in chunks of at most about ``_FD_CHUNK_ENTRIES`` entries,
+    so memory is O(P) plus one chunk, and the result is
+    (f(p + eps*e_i) - f(p - eps*e_i)) / (2*eps) per coordinate.  This
+    is the independent oracle against which all analytic gradients in
+    the package are checked; it must never share code with them.
 
-    Raises if any evaluation of ``f`` is non-finite, naming the
-    offending coordinate.
+    Raises if ``f`` does not return one value per row, or if any value
+    is non-finite, naming the offending coordinate.
     """
     p0 = as_finite(p, "parameter vector", 1)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    grad = np.zeros_like(p0)
-    step = np.zeros_like(p0)
-    for i in range(p0.size):
-        step[i] = eps
-        f_plus = float(f(p0 + step))
-        f_minus = float(f(p0 - step))
-        step[i] = 0.0
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError(f"function evaluation non-finite at coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+    size = p0.size
+    grad = np.empty_like(p0)
+    per_chunk = max(1, _FD_CHUNK_ENTRIES // (2 * size)) if size else 1
+    for lo in range(0, size, per_chunk):
+        r = min(per_chunk, size - lo)
+        j = np.arange(r)
+        # Rows j and r + j are coordinate lo + j's plus and minus points.
+        # Adding p0 last gives p0 + step and p0 - step bit for bit: the
+        # minus rows start from -0.0, as p0 - 0.0 keeps a -0.0 entry.
+        points = np.zeros((2 * r, size))
+        points[r:] = -0.0
+        points[j, lo + j] = eps
+        points[r + j, lo + j] = -eps
+        points += p0
+        values = np.asarray(f(points), dtype=np.float64)
+        if values.shape != (2 * r,):
+            raise ValueError(f"f must return one value per row, got shape {values.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite[:r] & finite[r:]))
+            raise ValueError(f"function evaluation non-finite at coordinate {lo + first}")
+        grad[lo:lo + r] = (values[:r] - values[r:]) / (2.0 * eps)
     return grad
 
 

@@ -16,6 +16,12 @@ import numpy as np
 from promptkit.engine import AnnotationSet, Instance
 
 
+def row_loop(f):
+    """A function of one parameter vector as ``finite_diff_grad`` takes it:
+    ``f`` on each row of a chunk of points, one value per row."""
+    return lambda points: [f(p) for p in points]
+
+
 def brute_force_kendall(a, b) -> tuple[float, int, int]:
     """Pairwise sign count over all i > j; ties add to neither side."""
     n = len(a)

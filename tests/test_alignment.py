@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import row_loop
 from promptkit.alignment import (
     AlignBatch,
     SamplerManifest,
@@ -13,7 +14,8 @@ from promptkit.alignment import (
     build_negative_prompts,
     sample_batches,
 )
-from promptkit import alignment
+import promptkit.numeric
+from promptkit import alignment, gradcheck
 from promptkit.gradcheck import run_gradcheck
 from promptkit.numeric import compare_grads, finite_diff_grad, seeded_rng
 
@@ -76,7 +78,7 @@ class TestAlignLoss:
             return align_loss(p[: k * d].reshape(k, d), p[k * d:].reshape(k, d),
                               temperature=temp).loss
 
-        numeric = finite_diff_grad(f, np.concatenate([v.ravel(), t.ravel()]))
+        numeric = finite_diff_grad(row_loop(f), np.concatenate([v.ravel(), t.ravel()]))
         analytic = np.concatenate([res.grad_visual.ravel(), res.grad_text.ravel()])
         assert compare_grads(analytic, numeric).max_rel_err < 1e-4
 
@@ -95,7 +97,7 @@ class TestAlignLoss:
             return align_loss(v, t, temperature=0.5,
                               negative_visual=p.reshape(m, d)).loss
 
-        numeric = finite_diff_grad(f, neg.ravel())
+        numeric = finite_diff_grad(row_loop(f), neg.ravel())
         assert compare_grads(with_neg.grad_negative.ravel(), numeric).max_rel_err < 1e-4
 
     def test_joint_permutation_invariance(self):
@@ -392,3 +394,61 @@ class TestSamplerProperties:
         for ds in set(dataset_of.values()):
             n = sum(1 for d in dataset_of.values() if d == ds)
             assert sum(b.dataset_id == ds for b in batches) == -(-n // manifest.batch_size)
+
+
+@st.composite
+def align_stacks(draw):
+    """(m, K, d) visual and text stacks, optional (m, M, d) negatives and a
+    temperature."""
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k, d = draw(st.integers(1, 5)), draw(st.integers(2, 40)), draw(st.integers(1, 32))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    v, t = (scale * rng.standard_normal((m, k, d)) for _ in range(2))
+    n_neg = draw(st.one_of(st.none(), st.integers(0, 4)))
+    neg = None if n_neg is None else scale * rng.standard_normal((m, n_neg, d))
+    return v, t, neg, draw(st.floats(0.05, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(align_stacks())
+def test_stack_value_is_each_slice_align_loss_bit_for_bit(inputs):
+    v, t, neg, temperature = inputs
+    values = align_loss_value(v, t, temperature, negative_visual=neg)
+    assert values.shape == (v.shape[0],)
+    for i in range(v.shape[0]):
+        loss = align_loss(v[i], t[i], temperature,
+                          negative_visual=None if neg is None else neg[i]).loss
+        assert values[i].tobytes() == np.float64(loss).tobytes()
+
+
+def test_align_loss_refuses_a_stack():
+    stack = np.stack([np.eye(2, 4)] * 3)
+    with pytest.raises(ValueError) as exc:
+        align_loss(stack, stack)
+    assert str(exc.value) == "visual/text must be matching (K, d) arrays, got (3, 2, 4) vs (3, 2, 4)"
+
+
+@pytest.mark.parametrize("neg_shape", [(2, 4), (2, 1, 4), (3, 1, 3), (3, 2, 1, 4)])
+def test_stack_negatives_carry_the_stack_dims(neg_shape):
+    stack = np.stack([np.eye(2, 4)] * 3)
+    with pytest.raises(ValueError) as exc:
+        align_loss_value(stack, stack, negative_visual=np.ones(neg_shape))
+    assert str(exc.value) == f"negatives must be (3, M, 4), got {neg_shape}"
+
+
+def test_align_gradcheck_evaluates_each_chunk_in_one_call(monkeypatch):
+    # 256 parameters: 512 points, one align_loss_value call per chunk of
+    # them (the parent oracle made one call per point).
+    calls = []
+    real = gradcheck.align_loss_value
+
+    def counting(visual, text, **kwargs):
+        calls.append(visual.shape)
+        return real(visual, text, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "align_loss_value", counting)
+    assert run_gradcheck("align", 8, 0).passed(1e-4)
+    per_chunk = max(1, promptkit.numeric._FD_CHUNK_ENTRIES // 512)
+    assert len(calls) == -(-256 // per_chunk) == 2
+    assert sum(shape[0] for shape in calls) == 512
+    assert all(shape[1:] == (8, 16) for shape in calls)

@@ -184,6 +184,42 @@ class TestGradcheck:
             code, out, _ = run_cli(capsys, "gradcheck", "--loss", loss, "--seed", "5")
             assert code == 0, loss
 
+    @pytest.mark.parametrize("loss, n, message", [
+        ("giou", 0, "n for giou must be >= 1, got 0"),
+        ("l1", -1, "n for l1 must be >= 1, got -1"),
+        ("order", -3, "n for order must be >= 2, got -3"),
+        ("align", 1, "n for align must be >= 2, got 1"),
+        ("dice", 1, "n for dice must be >= 2, got 1"),
+        ("bce", -(2**63), f"n for bce must be >= 2, got {-(2**63)}"),
+        ("order", 501, "n for order must be <= 500, got 501"),
+        ("align", 129, "n for align must be <= 128, got 129"),
+        ("giou", 3_000_000, "n for giou must be <= 150, got 3000000"),
+        ("l1", 2**63, f"n for l1 must be <= 150, got {2**63}"),
+        ("dice", 101, "n for dice must be <= 100, got 101"),
+        ("bce", 10**30, f"n for bce must be <= 100, got {10**30}"),
+    ])
+    def test_n_outside_its_range_is_refused_before_any_work(self, capsys, monkeypatch,
+                                                            loss, n, message):
+        def never(n, seed):
+            raise AssertionError("a scenario was built")
+
+        monkeypatch.setitem(gradcheck._SCENARIOS, loss, never)
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", loss, "--n", str(n))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_n_at_its_floor_is_checked_and_echoed(self, capsys):
+        for loss, (least, _) in gradcheck.GRADCHECK_N_RANGES.items():
+            code, out, _ = run_cli(capsys, "gradcheck", "--loss", loss, "--n", str(least))
+            payload = json.loads(out)
+            assert (code, payload["n"]) == (0, least), loss
+
+    def test_help_lists_each_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("accepted: order 2-500, align 2-128, giou 1-150, l1 1-150, dice 2-100, "
+                "bce 2-100") in text
+
 
 class TestFuseDemo:
     def test_stats_output(self, tmp_path, capsys):

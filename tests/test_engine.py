@@ -552,6 +552,23 @@ class TestRefusedFields:
         assert (type(ann.width), ann.width) == (int, 4)
         assert ann.to_json() == dumps_oracle(ann)
 
+    @pytest.mark.parametrize("instances, message", [
+        ([1], "instances[0] must be an Instance, got 1"),
+        ((Instance(np.array(GOOD["box"]), "a", 0.9), GOOD),
+         f"instances[1] must be an Instance, got {GOOD!r}"),
+        (None, "instances must be a sequence of Instance, got None"),
+    ])
+    def test_instances_are_checked_where_held(self, instances, message):
+        with pytest.raises(ValueError) as excinfo:
+            AnnotationSet("i", 4, 3, "top_down", instances)
+        assert str(excinfo.value) == message
+
+    def test_instances_are_held_as_a_tuple(self):
+        inst = Instance(np.array(GOOD["box"]), "a", 0.9)
+        ann = AnnotationSet("i", 4, 3, "top_down", [inst])
+        assert ann.instances == (inst,)
+        assert ann.to_json() == dumps_oracle(ann)
+
     def test_threshold_type_is_checked(self):
         a, b = single_instance_sets()
         with pytest.raises(ValueError) as excinfo:

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 import promptkit.losses
-from oracles import brute_force_assignment, make_annotation_fixture
+from oracles import brute_force_assignment, make_annotation_fixture, row_loop
 from promptkit.engine import cross_verify
 from promptkit.gradcheck import _random_box_pair
 from promptkit.losses import (
@@ -61,7 +61,7 @@ class TestGiouLoss:
         for _ in range(200):
             pred, gt = _random_box_pair(rng)
             _, grad = giou_loss(pred, gt)
-            numeric = finite_diff_grad(lambda p: giou_loss(p, gt)[0], pred)
+            numeric = finite_diff_grad(row_loop(lambda p: giou_loss(p, gt)[0]), pred)
             worst = max(worst, compare_grads(grad, numeric).max_rel_err)
         assert worst < 1e-4
 
@@ -100,7 +100,7 @@ class TestL1BoxLoss:
         for _ in range(100):
             pred, gt = _random_box_pair(rng)
             _, grad = l1_box_loss(pred, gt)
-            numeric = finite_diff_grad(lambda p: l1_box_loss(p, gt)[0], pred)
+            numeric = finite_diff_grad(row_loop(lambda p: l1_box_loss(p, gt)[0]), pred)
             assert compare_grads(grad, numeric).max_rel_err < 1e-4
 
 
@@ -130,7 +130,8 @@ class TestDiceLoss:
         gt = rng.integers(0, 2, (4, 4)).astype(float)
         gt[0, 0] = 1.0
         _, grad = dice_loss(pred, gt)
-        numeric = finite_diff_grad(lambda p: dice_loss(p.reshape(4, 4), gt)[0], pred.ravel())
+        numeric = finite_diff_grad(row_loop(lambda p: dice_loss(p.reshape(4, 4), gt)[0]),
+                                   pred.ravel())
         assert compare_grads(grad.ravel(), numeric).max_rel_err < 1e-4
 
     def test_shape_mismatch_rejected(self):
@@ -163,7 +164,8 @@ class TestBceMaskLoss:
         pred = rng.uniform(0.1, 0.9, (4, 4))
         gt = rng.integers(0, 2, (4, 4)).astype(float)
         _, grad = bce_mask_loss(pred, gt)
-        numeric = finite_diff_grad(lambda p: bce_mask_loss(p.reshape(4, 4), gt)[0], pred.ravel())
+        numeric = finite_diff_grad(row_loop(lambda p: bce_mask_loss(p.reshape(4, 4), gt)[0]),
+                                   pred.ravel())
         assert compare_grads(grad.ravel(), numeric).max_rel_err < 1e-4
 
 

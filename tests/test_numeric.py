@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import row_loop
+from promptkit import numeric
 from promptkit.numeric import (
+    as_count,
     bilinear_sample,
     compare_grads,
     cosine_matrix,
@@ -115,15 +119,15 @@ class TestBilinearSample:
 
 class TestFiniteDiffGrad:
     def test_quadratic(self):
-        grad = finite_diff_grad(lambda p: float(p @ p), np.array([3.0]), eps=1e-5)
+        grad = finite_diff_grad(row_loop(lambda p: float(p @ p)), np.array([3.0]), eps=1e-5)
         np.testing.assert_allclose(grad, [6.0], atol=1e-6)
 
     def test_constant_function(self):
-        grad = finite_diff_grad(lambda p: 7.5, np.array([1.0, -2.0, 0.0]))
+        grad = finite_diff_grad(row_loop(lambda p: 7.5), np.array([1.0, -2.0, 0.0]))
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_tanh_at_zero(self):
-        grad = finite_diff_grad(lambda p: math.tanh(p[0]), np.array([0.0]))
+        grad = finite_diff_grad(row_loop(lambda p: math.tanh(p[0])), np.array([0.0]))
         np.testing.assert_allclose(grad, [1.0], atol=1e-9)
 
     def test_exact_on_low_degree_polynomials(self):
@@ -140,7 +144,7 @@ class TestFiniteDiffGrad:
                 return float((a * p * p + b * p).sum())
 
             exact = 2 * a * x0 + b
-            got = finite_diff_grad(f, x0, eps=eps)
+            got = finite_diff_grad(row_loop(f), x0, eps=eps)
             assert np.max(np.abs(got - exact)) < 10 * eps * eps
 
     def test_non_finite_evaluation_names_coordinate(self):
@@ -148,11 +152,96 @@ class TestFiniteDiffGrad:
             return float(p[1]) if p[1] >= 0 else math.inf
 
         with pytest.raises(ValueError, match="coordinate 1"):
-            finite_diff_grad(f, np.array([1.0, 0.0]))
+            finite_diff_grad(row_loop(f), np.array([1.0, 0.0]))
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda p: 0.0, np.array([1.0]), eps=0.0)
+
+    @staticmethod
+    def sign_sensitive(p):
+        # arctan2(+0.0, -1) is pi and arctan2(-0.0, -1) is -pi: a point that
+        # turns a -0.0 entry into +0.0 changes the value.
+        return float(np.sum(np.arctan2(p, -1.0) + p ** 3))
+
+    @pytest.mark.parametrize("size,budget", [(1, None), (2, None), (127, None), (128, None),
+                                             (129, None), (181, None), (182, None), (7, 30)])
+    def test_equals_a_per_coordinate_loop_bit_for_bit(self, monkeypatch, size, budget):
+        # 181 is the last size with one chunk at the default budget, 182 the
+        # first with two; a budget of 30 entries takes size 7 in chunks of
+        # 2, 2, 2 and 1 coordinates.
+        if budget is not None:
+            monkeypatch.setattr(numeric, "_FD_CHUNK_ENTRIES", budget)
+        rng = seeded_rng(size)
+        p0 = rng.uniform(-1.0, 1.0, size)
+        p0[::3] = -0.0
+        eps = 1e-5
+        seen = []
+
+        def f(points):
+            seen.extend(row.tobytes() for row in points)
+            return [self.sign_sensitive(row) for row in points]
+
+        got = finite_diff_grad(f, p0, eps=eps)
+        want, points = np.zeros(size), []
+        for i in range(size):
+            step = np.zeros(size)
+            step[i] = eps
+            points += [(p0 + step).tobytes(), (p0 - step).tobytes()]
+            want[i] = (self.sign_sensitive(p0 + step)
+                       - self.sign_sensitive(p0 - step)) / (2.0 * eps)
+        assert got.tobytes() == want.tobytes()
+        assert sorted(seen) == sorted(points)
+
+    def test_chunks_bound_the_rows_per_call(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_FD_CHUNK_ENTRIES", 30)
+        shapes = []
+
+        def f(points):
+            shapes.append(points.shape)
+            return points.sum(axis=1)
+
+        finite_diff_grad(f, np.zeros(7))
+        assert shapes == [(4, 7), (4, 7), (4, 7), (2, 7)]
+
+    @pytest.mark.parametrize("bad", [5, 6])
+    def test_non_finite_in_a_later_chunk_names_its_coordinate(self, monkeypatch, bad):
+        monkeypatch.setattr(numeric, "_FD_CHUNK_ENTRIES", 30)  # chunks of 2 coordinates
+        p0 = np.linspace(0.0, 1.0, 7)
+
+        def f(points):
+            # Coordinate 5's plus point and coordinate 6's minus point only.
+            moved = points[:, bad] - p0[bad]
+            return np.where(moved > 0 if bad == 5 else moved < 0, np.nan, points.sum(axis=1))
+
+        with pytest.raises(ValueError, match=f"non-finite at coordinate {bad}$"):
+            finite_diff_grad(f, p0)
+
+    def test_scalar_function_gets_the_shape_error(self):
+        with pytest.raises(ValueError, match=r"^f must return one value per row, got shape \(\)$"):
+            finite_diff_grad(lambda points: 7.5, np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match=r"got shape \(3,\)$"):
+            finite_diff_grad(lambda points: np.zeros(3), np.array([1.0, -2.0]))
+
+
+class TestAsCount:
+    def test_bounds_are_inclusive(self):
+        assert as_count(2, "n", 2, 5) == 2
+        assert as_count(5.0, "n", 2, 5) == 5
+        assert as_count(10**30, "n", 2) == 10**30
+
+    @pytest.mark.parametrize("value,message", [
+        (1, "n must be >= 2, got 1"),
+        (6, "n must be <= 5, got 6"),
+        (-(2**63), f"n must be >= 2, got {-(2**63)}"),
+        (2**63, f"n must be <= 5, got {2**63}"),
+        (True, "n must be an integer, got True"),
+        (2.5, "n must be an integer, got 2.5"),
+        ("3", "n must be an integer, got '3'"),
+    ])
+    def test_refusals_name_the_input(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_count(value, "n", 2, 5)
 
 
 class TestCompareGrads:
