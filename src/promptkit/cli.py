@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine, fusion
 from .alignment import SamplerManifest, sample_batches
-from .gradcheck import GRADCHECK_LOSSES, GRADCHECK_N_RANGES, run_gradcheck
+from .gradcheck import GRADCHECK_LOSSES, GRADCHECK_MAX_EPS, GRADCHECK_N_RANGES, run_gradcheck
 from .numeric import DEFAULT_FD_EPS, as_count, as_finite, as_int, read_json
 from .prompts import DEFAULT_DIM, FileEmbeddings, HashEmbeddings
 from .ranking import kendall_tau, order_loss, select_queries
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                      in GRADCHECK_N_RANGES.items()))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=DEFAULT_FD_EPS)
+    p.add_argument("--eps", type=float, default=DEFAULT_FD_EPS,
+                   help=f"central-difference step; accepted: above 0, at most {GRADCHECK_MAX_EPS}")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("fuse-demo", help="background-token activation statistics per pathway")

@@ -17,11 +17,21 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import align_loss, align_loss_value
-from .losses import bce_mask_loss, dice_loss, giou_loss, l1_box_loss
+from .losses import (
+    bce_mask_loss,
+    bce_mask_loss_value,
+    dice_loss,
+    dice_loss_value,
+    giou_loss,
+    giou_loss_value,
+    l1_box_loss,
+    l1_box_loss_value,
+)
 from .numeric import (
     DEFAULT_FD_EPS,
     GradCheckReport,
     as_count,
+    as_step,
     compare_grads,
     finite_diff_grad,
     seeded_rng,
@@ -71,24 +81,24 @@ def _random_box_pair(rng) -> tuple[np.ndarray, np.ndarray]:
         return pred, gt
 
 
-def _box_scenario(loss_fn, n: int, seed: int):
+def _box_scenario(loss_fn, value_fn, n: int, seed: int):
     rng = seeded_rng(seed)
     pairs = [_random_box_pair(rng) for _ in range(n)]
-    gts = [gt for _, gt in pairs]
+    gts = np.array([gt for _, gt in pairs])
     p0 = np.concatenate([pred for pred, _ in pairs])
 
-    def scalar(p):
-        boxes = p.reshape(-1, 4)
-        return sum(loss_fn(box, gt)[0] for box, gt in zip(boxes, gts))
-
     def f(points):
-        return [scalar(p) for p in points]
+        # The whole chunk as one (m, n, 4) stack against the n ground-truth
+        # boxes; each row's n pair values are added left to right, in the
+        # order of a Python sum over the pairs.
+        values = value_fn(points.reshape(len(points), n, 4), gts)
+        return np.cumsum(values, axis=1)[:, -1]
 
     analytic = np.concatenate([loss_fn(pred, gt)[1] for pred, gt in pairs])
     return p0, f, analytic
 
 
-def _mask_scenario(loss_fn, n: int, seed: int):
+def _mask_scenario(loss_fn, value_fn, n: int, seed: int):
     rng = seeded_rng(seed)
     pred = rng.uniform(0.2, 0.8, size=(n, n))
     gt = rng.integers(0, 2, size=(n, n)).astype(np.float64)
@@ -96,7 +106,8 @@ def _mask_scenario(loss_fn, n: int, seed: int):
     p0 = pred.ravel()
 
     def f(points):
-        return [loss_fn(p.reshape(n, n), gt)[0] for p in points]
+        # The whole chunk as one stack of (n, n) prediction grids.
+        return value_fn(points.reshape(len(points), n, n), gt)
 
     analytic = loss_fn(pred, gt)[1].ravel()
     return p0, f, analytic
@@ -139,10 +150,10 @@ def _align_scenario(n: int, seed: int):
 _SCENARIOS = {
     "order": _order_scenario,
     "align": _align_scenario,
-    "giou": lambda n, seed: _box_scenario(giou_loss, n, seed),
-    "l1": lambda n, seed: _box_scenario(l1_box_loss, n, seed),
-    "dice": lambda n, seed: _mask_scenario(dice_loss, n, seed),
-    "bce": lambda n, seed: _mask_scenario(bce_mask_loss, n, seed),
+    "giou": lambda n, seed: _box_scenario(giou_loss, giou_loss_value, n, seed),
+    "l1": lambda n, seed: _box_scenario(l1_box_loss, l1_box_loss_value, n, seed),
+    "dice": lambda n, seed: _mask_scenario(dice_loss, dice_loss_value, n, seed),
+    "bce": lambda n, seed: _mask_scenario(bce_mask_loss, bce_mask_loss_value, n, seed),
 }
 GRADCHECK_LOSSES = tuple(_SCENARIOS)
 # Loss name -> the least and the most n its scenario takes.  A box
@@ -151,6 +162,10 @@ GRADCHECK_LOSSES = tuple(_SCENARIOS)
 # each ceiling keeps one check to at most about 4 s on a 2-core x86 machine.
 GRADCHECK_N_RANGES = {"order": (2, 500), "align": (2, 128), "giou": (1, 150), "l1": (1, 150),
                       "dice": (2, 100), "bce": (2, 100)}
+# The largest central-difference step a check takes.  Every scenario's
+# inputs lie within unit scale, so a longer step measures nothing; far
+# longer ones overflow inside the losses.
+GRADCHECK_MAX_EPS = 1.0
 
 
 def build_scenario(loss: str, n: int, seed: int):
@@ -173,7 +188,10 @@ def build_scenario(loss: str, n: int, seed: int):
 
 
 def run_gradcheck(loss: str, n: int, seed: int, eps: float = DEFAULT_FD_EPS) -> GradCheckReport:
-    """Compare a loss's analytic gradient against central differences."""
+    """Compare a loss's analytic gradient against central differences.  An
+    ``eps`` outside (0, GRADCHECK_MAX_EPS] raises ``ValueError`` before any
+    work."""
+    as_step(eps, GRADCHECK_MAX_EPS)
     p0, f, analytic = build_scenario(loss, n, seed)
     numeric = finite_diff_grad(f, p0, eps=eps)
     return compare_grads(analytic, numeric)

@@ -5,7 +5,9 @@ Boxes are corner-form [x1, y1, x2, y2] float arrays; masks are 2-D
 grids with predictions in [0, 1] and binary ground truth.  Both are
 read through ``numeric.as_finite``, so only finite ints and floats
 pass.  Every loss returns ``(value, gradient_wrt_prediction)`` and is
-validated against central finite differences in the test suite.
+validated against central finite differences in the test suite; the
+``*_value`` forms give the value alone, of every pair of broadcast box
+arrays or of every grid of a mask stack, bit for bit the scalar loss.
 """
 
 from __future__ import annotations
@@ -165,75 +167,164 @@ def _as_box_rows(boxes, name: str) -> np.ndarray:
     return a
 
 
-def _overlap(a, b):
-    """Boxes broadcast to (n, 1, 4) and (1, m, 4), and the (n, m) intersection,
-    union and equality of every pair.  ``np.where`` keeps the first operand on
-    ties, as Python's min and max do, so signed zeros match the scalar losses."""
-    a, b = _as_box_rows(a, "first boxes"), _as_box_rows(b, "second boxes")
-    p, q = a[:, None, :], b[None, :, :]
-    lo = np.where(q[..., :2] > p[..., :2], q[..., :2], p[..., :2])
-    hi = np.where(q[..., 2:] < p[..., 2:], q[..., 2:], p[..., 2:])
-    side = hi - lo
-    side = np.where(0.0 > side, 0.0, side)
-    inter = side[..., 0] * side[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return p, q, inter, area_a[:, None] + area_b[None, :] - inter, np.all(p == q, axis=2)
+def _as_box_pairs(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Two (..., 4) box arrays through ``as_finite`` whose leading dims
+    broadcast against each other."""
+    boxes = []
+    for x, name in ((pred, "pred boxes"), (gt, "gt boxes")):
+        a = as_finite(x, name, None)
+        if a.ndim == 0 or a.shape[-1] != 4:
+            raise ValueError(f"{name} must be a (..., 4) array, got shape {a.shape}")
+        boxes.append(a)
+    p, g = boxes
+    try:
+        np.broadcast_shapes(p.shape, g.shape)
+    except ValueError:
+        raise ValueError(f"pred boxes and gt boxes do not broadcast: {p.shape} vs {g.shape}") \
+            from None
+    return p, g
 
 
-def pairwise_iou(a, b) -> np.ndarray:
-    """``iou`` of every box in ``a`` (n, 4) against every box in ``b`` (m, 4)."""
-    _, _, inter, union, identical = _overlap(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0.0, inter / union, np.where(identical, 1.0, 0.0))
+def _max(a, b):
+    """Python's ``max(a, b)`` elementwise: ``a`` unless ``b`` is greater, so
+    a tie, -0.0 against 0.0 included, keeps ``a`` as the scalar losses do."""
+    return np.where(b > a, b, a)
 
 
-def pairwise_giou_loss(pred, gt) -> np.ndarray:
-    """``giou_loss`` value, without gradient, of every (pred, gt) box pair."""
-    p, g, inter, union, identical = _overlap(pred, gt)
-    hi = np.where(g[..., 2:] > p[..., 2:], g[..., 2:], p[..., 2:])
-    lo = np.where(g[..., :2] < p[..., :2], g[..., :2], p[..., :2])
-    span = hi - lo
-    enclose = span[..., 0] * span[..., 1]
+def _min(a, b):
+    """Python's ``min(a, b)`` elementwise; a tie keeps ``a``."""
+    return np.where(b < a, b, a)
+
+
+def _overlap(p, q):
+    """Intersection, union and equality of every pair of boxes of ``p`` and
+    ``q``, (..., 4) arrays that broadcast against each other, worked out on
+    their coordinate planes ``p[..., k]`` and ``q[..., k]`` in the scalar
+    losses' order of operations, so every pair equals them bit for bit."""
+    px1, py1, px2, py2 = (p[..., k] for k in range(4))
+    qx1, qy1, qx2, qy2 = (q[..., k] for k in range(4))
+    iw = _min(px2, qx2) - _max(px1, qx1)
+    ih = _min(py2, qy2) - _max(py1, qy1)
+    inter = _max(iw, 0.0) * _max(ih, 0.0)
+    union = (px2 - px1) * (py2 - py1) + (qx2 - qx1) * (qy2 - qy1) - inter
+    identical = (px1 == qx1) & (py1 == qy1) & (px2 == qx2) & (py2 == qy2)
+    return inter, union, identical
+
+
+def _giou_values(p, g):
+    inter, union, identical = _overlap(p, g)
+    enclose = ((_max(p[..., 2], g[..., 2]) - _min(p[..., 0], g[..., 0]))
+               * (_max(p[..., 3], g[..., 3]) - _min(p[..., 1], g[..., 1])))
     with np.errstate(divide="ignore", invalid="ignore"):
         iou_val = inter / union
         giou = np.where(enclose <= 0.0, iou_val, iou_val - (enclose - union) / enclose)
     return np.where(union > 0.0, 1.0 - giou, np.where(identical, 0.0, 2.0))
 
 
+def _l1_values(p, g):
+    # The mean over a fresh array's last axis adds the four coordinates in
+    # the order the scalar loss's mean does.
+    return np.abs(p - g).mean(axis=-1)
+
+
+def giou_loss_value(pred, gt) -> np.ndarray:
+    """``giou_loss`` value, without gradient, of every pair of boxes of
+    ``pred`` and ``gt``: (..., 4) arrays whose leading dims broadcast, to
+    an array of the broadcast leading shape.  Each entry equals the scalar
+    loss bit for bit."""
+    return _giou_values(*_as_box_pairs(pred, gt))
+
+
+def l1_box_loss_value(pred, gt) -> np.ndarray:
+    """``l1_box_loss`` value, without gradient, of every broadcast pair of
+    boxes, as in ``giou_loss_value``."""
+    return _l1_values(*_as_box_pairs(pred, gt))
+
+
+def pairwise_iou(a, b) -> np.ndarray:
+    """``iou`` of every box in ``a`` (n, 4) against every box in ``b`` (m, 4)."""
+    a, b = _as_box_rows(a, "first boxes"), _as_box_rows(b, "second boxes")
+    inter, union, identical = _overlap(a[:, None], b[None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, np.where(identical, 1.0, 0.0))
+
+
+def pairwise_giou_loss(pred, gt) -> np.ndarray:
+    """``giou_loss`` value, without gradient, of every (pred, gt) box pair."""
+    p, g = _as_box_rows(pred, "first boxes"), _as_box_rows(gt, "second boxes")
+    return _giou_values(p[:, None], g[None])
+
+
 def pairwise_l1(pred, gt) -> np.ndarray:
     """``l1_box_loss`` value, without gradient, of every (pred, gt) box pair."""
-    p = _as_box_rows(pred, "pred boxes")
-    return np.abs(p[:, None, :] - _as_box_rows(gt, "gt boxes")[None, :, :]).mean(axis=2)
+    p, g = _as_box_rows(pred, "pred boxes"), _as_box_rows(gt, "gt boxes")
+    return _l1_values(p[:, None], g[None])
 
 
-def _as_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    """The prediction and ground-truth grids through ``as_finite``, of one shape."""
-    p, g = as_finite(pred, "pred mask", 2), as_finite(gt, "gt mask", 2)
-    if p.shape != g.shape:
+def _as_masks(pred, gt, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction grid, or with ``stack`` a (..., h, w) stack of them,
+    and the ground-truth grid through ``as_finite``, each grid of one shape."""
+    p = as_finite(pred, "pred mask", None if stack else 2)
+    g = as_finite(gt, "gt mask", 2)
+    if p.ndim < 2:
+        raise ValueError(f"pred mask must be a (..., h, w) stack, got shape {p.shape}")
+    if p.shape[-2:] != g.shape:
         raise ValueError(f"mask shape mismatch: {p.shape} vs {g.shape}")
     return p, g
+
+
+def _dice_parts(p, g, eps):
+    """The dice loss of each grid of ``p`` against ``g``, and the numerator
+    and denominator of its ratio."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    num = 2.0 * (p * g).sum(axis=(-2, -1)) + eps
+    den = (p.sum(axis=(-2, -1)) + g.sum()) + eps
+    return 1.0 - num / den, num, den
+
+
+def dice_loss_value(pred, gt, eps: float = 1.0):
+    """``dice_loss`` value, without gradient, of a (h, w) prediction (a
+    float) or of each grid of a (..., h, w) stack against one (h, w) ground
+    truth (an array of the stack's leading shape), bit for bit."""
+    return _dice_parts(*_as_masks(pred, gt, stack=True), eps)[0]
 
 
 def dice_loss(pred, gt, eps: float = 1.0) -> tuple[float, np.ndarray]:
     """Soft dice loss 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps)
     with the analytic gradient w.r.t. the prediction grid."""
     p, g = _as_masks(pred, gt)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    num = 2.0 * float((p * g).sum()) + eps
-    den = float(p.sum() + g.sum()) + eps
-    loss = 1.0 - num / den
+    loss, num, den = _dice_parts(p, g, eps)
     grad = -(2.0 * g * den - num) / (den * den)
     return float(loss), grad
+
+
+def _bce_value(p, g):
+    """Minus the mean of g * log(c) + (1 - g) * log(1 - c) over each grid of
+    ``p``, c the clamped predictions.  The steps run in place on two
+    stack-sized buffers: a large stack then allocates two arrays, not six."""
+    terms = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    rest = np.subtract(1.0, terms)
+    np.log(terms, out=terms)
+    terms *= g
+    np.log(rest, out=rest)
+    rest *= 1.0 - g
+    terms += rest
+    return -terms.mean(axis=(-2, -1))
+
+
+def bce_mask_loss_value(pred, gt):
+    """``bce_mask_loss`` value, without gradient, of a prediction grid or of
+    each grid of a stack, as in ``dice_loss_value``."""
+    return _bce_value(*_as_masks(pred, gt, stack=True))
 
 
 def bce_mask_loss(pred, gt) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy with predictions clamped to
     [1e-7, 1 - 1e-7]; clamped pixels get zero gradient."""
     p, g = _as_masks(pred, gt)
+    loss = _bce_value(p, g)
     clamped = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = -(g * np.log(clamped) + (1.0 - g) * np.log(1.0 - clamped)).mean()
     interior = (p > BCE_CLAMP) & (p < 1.0 - BCE_CLAMP)
     grad = np.where(interior, (-g / clamped + (1.0 - g) / (1.0 - clamped)), 0.0) / p.size
     return float(loss), grad

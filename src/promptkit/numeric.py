@@ -67,10 +67,10 @@ def check_numbers(x, name: str) -> None:
         check_number(x, name)
 
 
-def as_finite(x, name: str, ndim: int) -> np.ndarray:
-    """``x`` as a float64 array of rank ``ndim`` whose entries pass
-    ``check_numbers`` and are finite; each failure raises one ``ValueError``
-    naming ``name``.  Float64 arrays are not copied."""
+def as_finite(x, name: str, ndim: int | None) -> np.ndarray:
+    """``x`` as a float64 array of rank ``ndim`` (any rank when ``ndim`` is
+    None) whose entries pass ``check_numbers`` and are finite; each failure
+    raises one ``ValueError`` naming ``name``.  Float64 arrays are not copied."""
     try:
         a = np.asarray(x)
     except ValueError:
@@ -79,7 +79,7 @@ def as_finite(x, name: str, ndim: int) -> np.ndarray:
     # is walked whatever dtype it gave.
     if a.dtype.kind not in "iuf" or isinstance(x, (list, tuple)):
         check_numbers(x, name)
-    if a.ndim != ndim:
+    if ndim is not None and a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
     try:
         a = a.astype(np.float64, copy=False)
@@ -118,6 +118,16 @@ def as_count(value, name: str, least: int, most: int | None = None) -> int:
     if most is not None and value > most:
         raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
+
+
+def as_step(eps, most: float = math.inf):
+    """``eps`` when it is a usable central-difference step: positive, finite
+    and at most ``most``; otherwise ``ValueError`` naming ``eps``."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if eps > most:
+        raise ValueError(f"eps must be <= {most}, got {eps}")
+    return eps
 
 
 def as_objects(value, name: str) -> list:
@@ -268,8 +278,7 @@ def finite_diff_grad(
     is non-finite, naming the offending coordinate.
     """
     p0 = as_finite(p, "parameter vector", 1)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    as_step(eps)
     size = p0.size
     grad = np.empty_like(p0)
     per_chunk = max(1, _FD_CHUNK_ENTRIES // (2 * size)) if size else 1

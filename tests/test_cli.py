@@ -173,6 +173,29 @@ class TestGradcheck:
         assert (code, out, err) == \
             (1, "", f"error: {flag[2:]} must be positive and finite, got {float(value)}\n")
 
+    @pytest.mark.parametrize("value", ["1.5", "1e300", "1.7e308"])
+    def test_eps_above_one_is_refused_before_any_work(self, capsys, monkeypatch, value):
+        def never(n, seed):
+            raise AssertionError("a scenario was built")
+
+        monkeypatch.setitem(gradcheck._SCENARIOS, "giou", never)
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "giou", "--n", "4",
+                                 "--seed", "0", "--eps", value)
+        assert (code, out, err) == (1, "", f"error: eps must be <= 1.0, got {float(value)}\n")
+
+    def test_eps_of_one_still_runs(self, capsys):
+        for loss in gradcheck.GRADCHECK_LOSSES:
+            _, out, err = run_cli(capsys, "gradcheck", "--loss", loss, "--n", "4", "--seed", "0",
+                                  "--eps", "1")
+            assert json.loads(out)["eps"] == 1.0, loss
+            assert "error" not in err, loss
+
+    def test_help_states_the_eps_ceiling(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "central-difference step; accepted: above 0, at most 1.0" in text
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("PROMPTKIT_SEED", "123")
         code, out, _ = run_cli(capsys, "gradcheck", "--loss", "l1", "--n", "2")

@@ -1,9 +1,11 @@
-"""Property tests for the pairwise kernels.
+"""Property tests for the pairwise and stacked kernels.
 
 The box kernels must equal their scalar references (``iou``,
-``giou_loss``, ``l1_box_loss``) bit for bit, element by element; the
-composite matcher built on them must equal a reconstruction from the
-scalar losses and the brute-force assignment oracle.
+``giou_loss``, ``l1_box_loss``) bit for bit, element by element, and
+the stacked mask values (``dice_loss_value``, ``bce_mask_loss_value``)
+must equal the scalar mask losses slice by slice; the composite matcher
+built on them must equal a reconstruction from the scalar losses and the
+brute-force assignment oracle.
 """
 
 import math
@@ -17,14 +19,19 @@ from hypothesis.extra.numpy import arrays
 from oracles import brute_force_assignment
 from promptkit.gradcheck import _random_box_pair
 from promptkit.losses import (
+    BCE_CLAMP,
     MatchWeights,
     Prediction,
     Target,
     bce_mask_loss,
+    bce_mask_loss_value,
     dice_loss,
+    dice_loss_value,
     giou_loss,
+    giou_loss_value,
     iou,
     l1_box_loss,
+    l1_box_loss_value,
     match_and_total_loss,
     pairwise_giou_loss,
     pairwise_iou,
@@ -101,6 +108,117 @@ class TestBoxKernels:
             kernel(np.zeros((2, 3)), np.zeros((2, 4)))
         with pytest.raises(ValueError, match=r"contains non-finite entries$"):
             kernel(np.zeros((1, 4)), [[0.0, 0.0, np.nan, 1.0]])
+
+
+@st.composite
+def box_stacks(draw):
+    """An (m, n, 4) stack of predicted boxes against (n, 4) ground truths:
+    the stack's entries are rows of the first ``box_matrices`` draw and the
+    ground truths its second, so degenerate, identical and signed-zero
+    pairs stay common."""
+    a, gt = draw(box_matrices())
+    m = draw(st.integers(1, 4))
+    picks = draw(arrays(np.intp, (m, len(gt)), elements=st.integers(0, len(a) - 1)))
+    return a[picks], gt
+
+
+STACKED = [
+    (giou_loss_value, pairwise_giou_loss, giou_loss),
+    (l1_box_loss_value, pairwise_l1, l1_box_loss),
+]
+
+
+@pytest.mark.parametrize("value, pairwise, scalar", STACKED)
+class TestBoxStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(box_stacks())
+    def test_equals_scalar_and_pairwise_bit_for_bit(self, value, pairwise, scalar, boxes):
+        stack, gt = boxes
+        m, n, _ = stack.shape
+        with np.errstate(all="ignore"):
+            got = value(stack, gt)
+            expected = np.array([[scalar(stack[i, j], gt[j])[0] for j in range(n)]
+                                 for i in range(m)])
+            # Row i * n + j of the flattened stack meets ground truth j.
+            table = pairwise(stack.reshape(-1, 4), gt).reshape(m, n, n)
+        assert got.shape == (m, n)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+        np.testing.assert_array_equal(bits(got), bits(np.diagonal(table, axis1=1, axis2=2)))
+
+    @pytest.mark.parametrize("pred, gt, message", [
+        (np.zeros((2, 3, 3)), np.zeros((3, 4)), r"pred boxes must be a \(\.\.\., 4\) array, "
+                                                 r"got shape \(2, 3, 3\)"),
+        (np.zeros((2, 3, 4)), 0.5, r"gt boxes must be a \(\.\.\., 4\) array, got shape \(\)"),
+        (np.zeros((2, 3, 4)), np.zeros((2, 4)),
+         r"pred boxes and gt boxes do not broadcast: \(2, 3, 4\) vs \(2, 4\)"),
+        ([[[0.0, 0.0, 1.0, "1"]]], np.zeros((1, 4)), "pred boxes must be numeric, got '1'"),
+        (np.zeros((1, 1, 4)), [[0.0, 0.0, np.inf, 1.0]], "gt boxes contains non-finite entries"),
+        ([[[0.0, 0.0, 1.0]], [[0.0]]], np.zeros((1, 4)), "pred boxes must be a rectangular array"),
+    ], ids=["last-axis", "scalar", "broadcast", "string", "non-finite", "ragged"])
+    def test_rejects_malformed_stacks(self, value, pairwise, scalar, pred, gt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            value(pred, gt)
+
+
+# Pixels on and beyond the clamp bounds, signed zero, and free values in [0, 1].
+PIXEL = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-9, BCE_CLAMP, 1.0 - BCE_CLAMP, 1.0 - 1e-9, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def mask_stacks(draw):
+    """An (m, h, w) stack of prediction grids and one binary (h, w) ground
+    truth; grids up to 16 x 16 reach numpy's 8- and 128-entry summation
+    blocks."""
+    m, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    stack = draw(arrays(np.float64, (m, h, w), elements=PIXEL))
+    gt = draw(arrays(np.float64, (h, w), elements=st.sampled_from([0.0, 1.0])))
+    return stack, gt
+
+
+MASK_VALUES = [(dice_loss_value, dice_loss), (bce_mask_loss_value, bce_mask_loss)]
+
+
+@pytest.mark.parametrize("value, scalar", MASK_VALUES)
+class TestMaskStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(mask_stacks())
+    def test_equals_scalar_slice_by_slice_bit_for_bit(self, value, scalar, masks):
+        stack, gt = masks
+        got = value(stack, gt)
+        expected = np.array([scalar(grid, gt)[0] for grid in stack])
+        assert got.shape == (len(stack),)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+        assert bits(value(stack[0], gt)) == bits(expected[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask_stacks())
+    def test_scalar_loss_is_the_textbook_formula_bit_for_bit(self, value, scalar, masks):
+        # The stacked and scalar forms share one formula: pin its order of
+        # operations, so byte-stable outputs stay byte-stable.
+        stack, g = masks
+        for p in stack:
+            if scalar is dice_loss:
+                num = 2.0 * float((p * g).sum()) + 1.0
+                want = 1.0 - num / (float(p.sum() + g.sum()) + 1.0)
+            else:
+                c = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+                want = float(-(g * np.log(c) + (1.0 - g) * np.log(1.0 - c)).mean())
+            assert bits(scalar(p, g)[0]) == bits(want)
+
+    @pytest.mark.parametrize("pred, gt, message", [
+        (np.zeros(4), np.zeros((2, 2)), r"pred mask must be a \(\.\.\., h, w\) stack, "
+                                         r"got shape \(4,\)"),
+        (np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), r"gt mask must be 2-D, got shape \(3, 2, 2\)"),
+        (np.zeros((3, 2, 3)), np.zeros((3, 2)), r"mask shape mismatch: \(3, 2, 3\) vs \(3, 2\)"),
+        ([[[0.5, True]]], np.zeros((1, 2)), "pred mask must be numeric, got True"),
+        (np.zeros((2, 1, 2)), [[0.0, np.nan]], "gt mask contains non-finite entries"),
+    ], ids=["rank", "gt-rank", "shape", "boolean", "non-finite"])
+    def test_rejects_malformed_stacks(self, value, scalar, pred, gt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            value(pred, gt)
 
 
 # Exact dyadic entries of moderate size keep every squared norm and
