@@ -283,11 +283,12 @@ def _dice_parts(p, g, eps):
     return 1.0 - num / den, num, den
 
 
-def dice_loss_value(pred, gt, eps: float = 1.0):
-    """``dice_loss`` value, without gradient, of a (h, w) prediction (a
-    float) or of each grid of a (..., h, w) stack against one (h, w) ground
-    truth (an array of the stack's leading shape), bit for bit."""
-    return _dice_parts(*_as_masks(pred, gt, stack=True), eps)[0]
+def dice_loss_value(pred, gt):
+    """``dice_loss`` value at its default ``eps``, without gradient, of a
+    (h, w) prediction (a float) or of each grid of a (..., h, w) stack
+    against one (h, w) ground truth (an array of the stack's leading
+    shape), bit for bit."""
+    return _dice_parts(*_as_masks(pred, gt, stack=True), 1.0)[0]
 
 
 def dice_loss(pred, gt, eps: float = 1.0) -> tuple[float, np.ndarray]:
@@ -541,8 +542,9 @@ def match_and_total_loss(
     bce_vals, dice_vals = [], []
     for i, j in matches:
         if preds[i].mask is not None and targets[j].mask is not None:
-            bce_vals.append(bce_mask_loss(preds[i].mask, targets[j].mask)[0])
-            dice_vals.append(dice_loss(preds[i].mask, targets[j].mask)[0])
+            p, g = _as_masks(preds[i].mask, targets[j].mask)
+            bce_vals.append(_bce_value(p, g))
+            dice_vals.append(_dice_parts(p, g, 1.0)[0])
     mask = (w.bce * float(np.mean(bce_vals)) + w.dice * float(np.mean(dice_vals))) if bce_vals else 0.0
 
     extras: dict = {}
